@@ -13,7 +13,6 @@ from .arnoldi import (
     FORWARD,
     ExtendedBasis,
     OperatorPair,
-    assemble_T,
     ekba_basis,
     ekba_init,
     ekba_step,

@@ -3,16 +3,18 @@
 Builds an orthonormal basis of the extended block Krylov subspace of the
 projected operator pair without ever forming the dense projector: every
 application of the operator or its inverse is one solve against a cached
-saddle-point factorization.  Alongside the basis the process accumulates
-the Gram-Schmidt Hessenberg matrix and, by explicit projection of the
-operator images, the projected-operator Hessenberg matrix (one extra
-mass-block solve per step for the inverse-branch columns).
+saddle-point factorization.  Alongside the basis the process accumulates,
+by explicit projection of the operator images, the projected-operator
+Hessenberg matrix (one extra mass-block solve per step for the
+inverse-branch columns).
 """
+
+from functools import cached_property
 
 import numpy as np
 
 from . import kernels
-from .errors import Breakdown, DimensionMismatch, RankDeficient
+from .errors import Breakdown, DimensionMismatch, ModeMismatch, RankDeficient
 from .sysmodel import DescriptorSystem
 
 FORWARD = "forward"
@@ -22,28 +24,45 @@ ADJOINT = "adjoint"
 class OperatorPair:
     """Saddle-solve realization of the projected operator pair.
 
-    ForwardPair operates with (A, B); AdjointPair with (A^T, C^T).  Both
-    saddle factorizations are computed once and reused for every
-    iteration.  Any object exposing the same attributes can drive the
-    Arnoldi process (the closed-loop module substitutes a feedback-
-    corrected variant).
+    Forward mode operates with (A, B), adjoint mode with (A^T, C^T).  A
+    feedback ``gain`` K (forward mode) replaces A by A - B K, solved
+    through a rank-n_b SMW update of the uncorrected factorization.  The
+    factorizations come from the system's shared saddle cache; adjoint
+    mode solves with the transposed forward stiffness factors.
     """
 
-    def __init__(self, sys_, adjoint=False):
+    def __init__(self, sys_, adjoint=False, gain=None):
         self.sys = sys_
         self.adjoint = adjoint
-        self._a = (sys_.A.T if adjoint else sys_.A).tocsc()
+        self.gain = gain
         self.start = np.asarray(sys_.C.T if adjoint else sys_.B, dtype=float)
-        self.fact_mass = kernels.factor_saddle(sys_.M, sys_.G, kind="mass")
-        self.fact_stiff = kernels.factor_saddle(self._a, sys_.G, kind="stiffness")
+        self.fact_stiff = sys_.saddle("stiffness")
+        self.k_matrix = None
+        self._stiff_smw = None
+        if gain is not None:
+            if adjoint:
+                raise ModeMismatch("a feedback gain needs a forward-mode pair")
+            if gain.n_v != sys_.n_v or gain.n_b != sys_.n_b:
+                raise DimensionMismatch(
+                    f"gain is {gain.n_b} x {gain.n_v}, system needs "
+                    f"{sys_.n_b} x {sys_.n_v}"
+                )
+            self.k_matrix = gain.matrix()
+            self._stiff_smw = kernels.SmwCorrector(
+                self.fact_stiff, self.start, self.k_matrix, 1.0
+            )
 
-    @property
-    def n_v(self):
-        return self.sys.n_v
+    @cached_property
+    def fact_mass(self):
+        return self.sys.saddle("mass")
 
     def apply(self, X):
-        """Matrix product with the (possibly transposed) system matrix."""
-        return self._a @ X
+        """Matrix product with A^T, A or A - B K."""
+        if self.adjoint:
+            return self.sys.A.T @ X
+        if self.k_matrix is None:
+            return self.sys.A @ X
+        return self.sys.A @ X - self.sys.B @ (self.k_matrix @ X)
 
     def apply_mass(self, X):
         return self.sys.M @ X
@@ -52,7 +71,9 @@ class OperatorPair:
         return kernels.solve_saddle(self.fact_mass, rhs)
 
     def solve_stiff(self, rhs):
-        return kernels.solve_saddle(self.fact_stiff, rhs)
+        if self._stiff_smw is not None:
+            return self._stiff_smw.solve(rhs)
+        return kernels.solve_saddle(self.fact_stiff, rhs, adjoint=self.adjoint)
 
     def reproject(self, X):
         """Constraint cleanup via one mass-block solve: X -> M^-1 Pi M X.
@@ -81,7 +102,6 @@ class ExtendedBasis:
         self.mode = mode
         self.blocks = blocks
         self.lam = lam
-        self.hcols = []
         self.tcols = []
         self.breakdown_at = None
 
@@ -147,18 +167,6 @@ class ExtendedBasis:
             return np.zeros((w, w))
         return col[m * w : (m + 1) * w, :]
 
-    def H(self, m=None):
-        """Gram-Schmidt coefficient Hessenberg, 2(m+1)b x 2mb."""
-        m = self.steps_completed() if m is None else m
-        if m > len(self.hcols):
-            raise DimensionMismatch(f"H({m}) exceeds {len(self.hcols)} step columns")
-        w = self.width
-        h = np.zeros(((m + 1) * w, m * w))
-        for j in range(m):
-            col = self.hcols[j]
-            h[: col.shape[0], j * w : (j + 1) * w] = col
-        return h
-
 
 def ekba_init(source, mode=FORWARD):
     """Run the starting saddle solves and first QR of the Arnoldi process.
@@ -204,11 +212,9 @@ def ekba_step(basis):
     inverse = basis.ops.solve_stiff(basis.ops.apply_mass(vj[:, b:]))
     cand = np.column_stack([images[:, :b], inverse])
     scale = np.linalg.norm(cand, 2)
-    coeffs, w = kernels.block_gram_schmidt(cand, basis.blocks)
+    _, w = kernels.block_gram_schmidt(cand, basis.blocks)
     w = basis.ops.reproject(w)
-    extra, w = kernels.block_gram_schmidt(w, basis.blocks)
-    for h, dh in zip(coeffs, extra):
-        h += dh
+    _, w = kernels.block_gram_schmidt(w, basis.blocks)
     try:
         qr = kernels.thin_qr(w, rank_scale=scale)
     except RankDeficient as exc:
@@ -218,7 +224,6 @@ def ekba_step(basis):
             f"rank-deficient candidate block at step {j}", iteration=j
         ) from exc
     basis.blocks.append(qr.q)
-    basis.hcols.append(np.vstack(coeffs + [qr.r]) if coeffs else qr.r)
     basis.tcols.append(basis.V(j + 1).T @ images)
     return basis
 
@@ -239,11 +244,6 @@ def ekba_basis(source, m, mode=FORWARD, allow_breakdown=True):
                 raise
             break
     return basis
-
-
-def assemble_T(basis, m=None):
-    """Rectangular block Hessenberg of the projected operator (see Tbar)."""
-    return basis.Tbar(m)
 
 
 def projected_input(basis, m=None):

@@ -30,7 +30,7 @@ from .closedloop import (
     write_trajectory_csv,
     zero_input,
 )
-from .errors import EkstabError, ParseError, ValidationError
+from .errors import DimensionMismatch, EkstabError, ParseError, ValidationError
 from .reduction import (
     GENERALIZED,
     STATE_SPACE,
@@ -45,47 +45,31 @@ from .sysmodel import (
     Unstable,
     generate_synthetic,
     load_bundle,
+    read_key_values,
     write_system,
 )
 
 
-def _read_config(path):
-    values = {}
-    try:
-        with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ParseError(f"malformed config line: {line!r}")
-                key, value = line.split("=", 1)
-                values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
-        raise ParseError(f"cannot read config {path}: {exc}") from exc
-    return values
+def _apply_config(args, actions):
+    """Fill argparse namespace from the config file where flags kept defaults.
 
-
-def _apply_config(args, parser_defaults):
-    """Fill argparse namespace from the config file where flags kept defaults."""
+    Each value is converted with its flag's own argparse ``type`` and
+    checked against its ``choices``.
+    """
     if not getattr(args, "config", None):
         return args
-    values = _read_config(args.config)
-    for key, raw in values.items():
-        if not hasattr(args, key):
-            continue
-        if getattr(args, key) != parser_defaults.get(key):
-            continue  # an explicit flag wins
-        default = parser_defaults.get(key)
-        if isinstance(default, bool):
-            parsed = raw.lower() in ("1", "true", "yes")
-        elif isinstance(default, int):
-            parsed = int(raw)
-        elif isinstance(default, float):
-            parsed = float(raw)
-        else:
-            parsed = raw
-        setattr(args, key, parsed)
+    for key, raw in read_key_values(args.config, "config").items():
+        key = key.replace("-", "_")
+        action = actions.get(key)
+        if action is None or getattr(args, key) != action.default:
+            continue  # not a flag of this command, or an explicit flag wins
+        try:
+            value = action.type(raw) if action.type else raw
+        except ValueError as exc:
+            raise ParseError(f"config {key} = {raw!r}: {exc}") from exc
+        if action.choices is not None and value not in action.choices:
+            raise ParseError(f"config {key} = {raw!r}: not one of {action.choices}")
+        setattr(args, key, value)
     return args
 
 
@@ -131,25 +115,23 @@ def _check_knobs(args):
 
 def _parse_input_spec(spec, n_b):
     """Input-signal flag: const[:v1,v2], step[:t_on[:v1,v2]], zero, csv:PATH."""
-    if spec is None or spec == "const":
-        return constant_input(np.ones(n_b))
-    if spec.startswith("const:"):
-        vals = [float(v) for v in spec.split(":", 1)[1].split(",")]
-        return constant_input(np.asarray(vals))
-    if spec == "zero":
-        return zero_input(n_b)
-    if spec.startswith("step"):
-        parts = spec.split(":")
-        t_on = float(parts[1]) if len(parts) > 1 else 0.0
-        vals = (
-            np.asarray([float(v) for v in parts[2].split(",")])
-            if len(parts) > 2
-            else np.ones(n_b)
-        )
-        return step_input(vals, t_on)
     if spec.startswith("csv:"):
         return read_input_csv(spec.split(":", 1)[1])
-    raise ParseError(f"unrecognized input spec {spec!r}")
+    if spec == "zero":
+        return zero_input(n_b)
+    kind, *parts = spec.split(":")
+    if kind not in ("const", "step") or len(parts) > (1 if kind == "const" else 2):
+        raise ParseError(f"unrecognized input spec {spec!r}")
+    try:
+        t_on = float(parts.pop(0)) if kind == "step" and parts else 0.0
+        values = [float(v) for v in parts[0].split(",")] if parts else [1.0] * n_b
+    except ValueError as exc:
+        raise ParseError(f"input spec {spec!r}: {exc}") from exc
+    if len(values) != n_b:
+        raise DimensionMismatch(
+            f"input spec {spec!r} has {len(values)} values, expected n_b = {n_b}"
+        )
+    return constant_input(values) if kind == "const" else step_input(values, t_on)
 
 
 def _cmd_gen(args):
@@ -293,7 +275,7 @@ def _cmd_stabilize(args):
     cl = ClosedLoopSystem(sys_, gain)
     basis, model = reduce_closed_loop(cl, args.m)
     sweep = frequency_sweep(
-        sys_, model, w_lo=args.wlo, w_hi=args.whi, n_points=args.points
+        cl, model, w_lo=args.wlo, w_hi=args.whi, n_points=args.points
     )
     write_sweep_csv(os.path.join(args.out, "closedloop_sweep.csv"), sweep)
     extra = {
@@ -482,13 +464,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     command_parser = parser.subcommands.choices[args.command]
-    defaults = {
-        action.dest: action.default
+    actions = {
+        action.dest: action
         for action in command_parser._actions
-        if action.dest not in ("help", "func")
+        if action.dest != "help"
     }
     try:
-        args = _apply_config(args, defaults)
+        args = _apply_config(args, actions)
         return args.func(args)
     except EkstabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -12,82 +12,35 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse.linalg as spla
 
 from . import kernels
-from .arnoldi import FORWARD, ekba_basis
+from .arnoldi import FORWARD, OperatorPair, ekba_basis
 from .errors import (
     DimensionMismatch,
     InvalidInitialState,
     ParseError,
     SimulationDiverged,
-    SingularCapture,
 )
 from .reduction import STATE_SPACE, build_reduced
 
-_CAPTURE_COND_CAP = 1e12
 
-
-class _SmwCorrector:
-    """Solves [[W - c B K, G], [G^T, 0]] through the factorization of W's block.
-
-    Caches the block solve of B and the n_b x n_b capture matrix
-    I - c K W_blk^-1 B; each corrected solve then costs one base solve
-    plus a small dense solve.
-    """
-
-    def __init__(self, fact, B, K, c):
-        self.fact = fact
-        self.K = K
-        self.c = c
-        self.ainv_b = kernels.solve_saddle(fact, B)
-        n_b = B.shape[1]
-        self.capture = np.eye(n_b) - c * (K @ self.ainv_b)
-        # The capture matrix is a perturbation of the identity, so absolute
-        # near-singularity matters as much as the condition number.
-        sv = la.svdvals(self.capture)
-        if sv[-1] <= 1e-12 * max(1.0, sv[0]) or sv[0] > _CAPTURE_COND_CAP * sv[-1]:
-            raise SingularCapture(
-                f"capture matrix is numerically singular "
-                f"(singular values {sv[0]:.2e} .. {sv[-1]:.2e})"
-            )
-        self.capture_lu = la.lu_factor(self.capture)
-
-    def solve(self, rhs):
-        x = kernels.solve_saddle(self.fact, rhs)
-        corr = la.lu_solve(self.capture_lu, self.c * (self.K @ x))
-        return x + self.ainv_b @ corr
-
-
-class ClosedLoopSystem:
+class ClosedLoopSystem(OperatorPair):
     """Descriptor system with a low-rank LQR feedback A -> A - B K.
 
-    Holds the base saddle factorizations and the stiffness-block SMW
-    corrector eagerly; shifted correctors (implicit Euler, transfer
-    shifts) are built per use.  All caches are read-only after
-    construction.
+    The forward operator pair of the stabilized system.  The stiffness
+    SMW corrector is built eagerly, so a singular capture matrix is
+    reported here; mass factors and Euler correctors are built on use.
     """
 
     def __init__(self, sys_, gain):
-        if gain.n_v != sys_.n_v or gain.n_b != sys_.n_b:
-            raise DimensionMismatch(
-                f"gain is {gain.n_b} x {gain.n_v}, system needs "
-                f"{sys_.n_b} x {sys_.n_v}"
-            )
-        self.sys = sys_
-        self.gain = gain
-        self.k_matrix = gain.matrix()
-        self.fact_mass = kernels.factor_saddle(sys_.M, sys_.G, kind="mass")
-        self.fact_stiff = kernels.factor_saddle(sys_.A, sys_.G, kind="stiffness")
-        self.stiff_smw = _SmwCorrector(
-            self.fact_stiff, np.asarray(sys_.B, dtype=float), self.k_matrix, 1.0
-        )
+        super().__init__(sys_, gain=gain)
 
     def euler_corrector(self, h):
         """Corrector for M - h (A - B K)  =  (M - h A) + h B K."""
-        fact = kernels.factor_saddle(
-            (self.sys.M - h * self.sys.A).tocsc(), self.sys.G, kind="euler"
+        return kernels.SmwCorrector(
+            self.sys.saddle("euler", h), self.start, self.k_matrix, -h
         )
-        return _SmwCorrector(fact, np.asarray(self.sys.B), self.k_matrix, -h)
 
 
 def smw_solve(cl, rhs, kind="stiffness", h=None):
@@ -97,46 +50,12 @@ def smw_solve(cl, rhs, kind="stiffness", h=None):
     A - B K, "euler" (with step ``h``) for M - h (A - B K).
     """
     if kind == "stiffness":
-        return cl.stiff_smw.solve(rhs)
+        return cl.solve_stiff(rhs)
     if kind == "euler":
         if h is None:
             raise DimensionMismatch("euler kind requires the step h")
         return cl.euler_corrector(h).solve(rhs)
     raise DimensionMismatch(f"unknown corrected-block kind {kind!r}")
-
-
-class _ClosedLoopOps:
-    """Operator pair of the stabilized system for the Arnoldi process.
-
-    The forward product applies A - B K through its factors; inverse-
-    branch solves are routed through the SMW corrector.  Matches the
-    OperatorPair protocol.
-    """
-
-    def __init__(self, cl):
-        self.cl = cl
-        self.sys = cl.sys
-        self.start = np.asarray(cl.sys.B, dtype=float)
-        self.fact_mass = cl.fact_mass
-
-    @property
-    def n_v(self):
-        return self.sys.n_v
-
-    def apply(self, X):
-        return self.sys.A @ X - self.sys.B @ (self.cl.k_matrix @ X)
-
-    def apply_mass(self, X):
-        return self.sys.M @ X
-
-    def solve_mass(self, rhs):
-        return kernels.solve_saddle(self.fact_mass, rhs)
-
-    def solve_stiff(self, rhs):
-        return self.cl.stiff_smw.solve(rhs)
-
-    def reproject(self, X):
-        return kernels.solve_saddle(self.fact_mass, self.apply_mass(X))
 
 
 def reduce_closed_loop(cl, m, form=STATE_SPACE):
@@ -145,7 +64,7 @@ def reduce_closed_loop(cl, m, form=STATE_SPACE):
     Identical to the open-loop process with A replaced by A - B K
     everywhere; returns the basis and the reduced model.
     """
-    basis = ekba_basis(_ClosedLoopOps(cl), m, FORWARD)
+    basis = ekba_basis(cl, m, FORWARD)
     return basis, build_reduced(basis, form)
 
 
@@ -245,7 +164,8 @@ def simulate_dae(sys_or_cl, u, h, t_end, v0=None, blowup=1e100, keep_states=Fals
         v = np.zeros(sys_.n_v)
     else:
         v = np.asarray(v0, dtype=float).copy()
-        gnorm = np.linalg.norm(sys_.G.toarray(), 2) if sys_.n_p else 0.0
+        # The sparse 2-norm needs two columns; one column's 2-norm is its length.
+        gnorm = spla.norm(sys_.G, 2) if sys_.n_p > 1 else spla.norm(sys_.G)
         if sys_.n_p and np.linalg.norm(sys_.G.T @ v) > 1e-8 * max(
             np.linalg.norm(v), 1e-30
         ) * max(gnorm, 1e-30):
@@ -254,9 +174,7 @@ def simulate_dae(sys_or_cl, u, h, t_end, v0=None, blowup=1e100, keep_states=Fals
         stepper = sys_or_cl.euler_corrector(h)
         solve = stepper.solve
     else:
-        fact = kernels.factor_saddle(
-            (sys_.M - h * sys_.A).tocsc(), sys_.G, kind="euler"
-        )
+        fact = sys_.saddle("euler", h)
         solve = lambda rhs: kernels.solve_saddle(fact, rhs)
     outputs = np.empty((n_steps + 1, sys_.n_c))
     inputs = np.empty((n_steps + 1, sys_.n_b))

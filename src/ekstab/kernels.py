@@ -1,8 +1,10 @@
 """Sparse and dense linear-algebra kernels.
 
-Saddle-point factorization and solve, block Gram-Schmidt with conditional
-reorthogonalization, thin QR with breakdown detection, plus thin wrappers
-around the dense decompositions used for truncation and spectrum checks.
+Saddle-point factorization and solve (forward and transposed), solves
+with a low-rank Sherman-Morrison-Woodbury correction of the leading
+block, block Gram-Schmidt with conditional reorthogonalization, thin QR
+with breakdown detection, plus thin wrappers around the dense
+decompositions used for truncation and spectrum checks.
 
 Factorizations and matrices are immutable after construction; solves
 against a shared factorization may run concurrently.
@@ -19,6 +21,7 @@ from .errors import (
     DimensionMismatch,
     NoConvergence,
     RankDeficient,
+    SingularCapture,
     SingularSaddle,
 )
 
@@ -28,6 +31,8 @@ RANK_TOL = 1e-12
 REORTH_RATIO = 0.7
 # |u_ii| / max_j |u_jj| below this flags the factored saddle as singular.
 PIVOT_RATIO = 1e-13
+# Condition-number cap of the SMW capture matrix.
+CAPTURE_COND_CAP = 1e12
 
 
 @dataclass(frozen=True)
@@ -100,12 +105,15 @@ def factor_saddle(W, G, kind="custom", shift=None):
     return SaddleFactorization(kind=kind, n_v=n_v, n_p=n_p, shift=shift, _lu=lu)
 
 
-def solve_saddle(fact, rhs):
+def solve_saddle(fact, rhs, adjoint=False):
     """Solve [[W, G], [G^T, 0]] [x; *] = [rhs; 0] and return x.
 
     Only the first n_v rows of the block solve are returned; the
     multiplier block is discarded.  Accepts a vector or an n_v x k
-    matrix right-hand side; the result matches the input shape.
+    matrix right-hand side; the result matches the input shape.  With
+    ``adjoint`` the transposed block [[W^T, G], [G^T, 0]] is solved with
+    the same factors, so the adjoint operator needs no factorization of
+    its own.
     """
     rhs = np.asarray(rhs)
     one_d = rhs.ndim == 1
@@ -117,12 +125,44 @@ def solve_saddle(fact, rhs):
         )
     full = np.zeros((fact.n_v + fact.n_p, rhs.shape[1]), dtype=rhs.dtype)
     full[: fact.n_v] = rhs
+    trans = "T" if adjoint else "N"
     if np.iscomplexobj(full) and not fact.is_complex:
-        x = fact._lu.solve(full.real) + 1j * fact._lu.solve(full.imag)
+        x = fact._lu.solve(full.real, trans) + 1j * fact._lu.solve(full.imag, trans)
     else:
-        x = fact._lu.solve(np.asarray(full, dtype=fact._lu.U.dtype))
+        x = fact._lu.solve(np.asarray(full, dtype=fact._lu.U.dtype), trans)
     x = x[: fact.n_v]
     return x[:, 0] if one_d else x
+
+
+class SmwCorrector:
+    """Solves [[W - c B K, G], [G^T, 0]] through the factorization of W's block.
+
+    Caches the block solve of B and the n_b x n_b capture matrix
+    I - c K W_blk^-1 B; each corrected solve then costs one base solve
+    plus a small dense solve, and the dense product B K is never formed.
+    """
+
+    def __init__(self, fact, B, K, c):
+        self.fact = fact
+        self.K = K
+        self.c = c
+        self.ainv_b = solve_saddle(fact, B)
+        n_b = B.shape[1]
+        self.capture = np.eye(n_b) - c * (K @ self.ainv_b)
+        # The capture matrix is a perturbation of the identity, so absolute
+        # near-singularity matters as much as the condition number.
+        sv = la.svdvals(self.capture)
+        if sv[-1] <= 1e-12 * max(1.0, sv[0]) or sv[0] > CAPTURE_COND_CAP * sv[-1]:
+            raise SingularCapture(
+                f"capture matrix is numerically singular "
+                f"(singular values {sv[0]:.2e} .. {sv[-1]:.2e})"
+            )
+        self.capture_lu = la.lu_factor(self.capture)
+
+    def solve(self, rhs):
+        x = solve_saddle(self.fact, rhs)
+        corr = la.lu_solve(self.capture_lu, self.c * (self.K @ x))
+        return x + self.ainv_b @ corr
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg as la
 
 from . import kernels
-from .errors import Breakdown, EkstabError, SizeCapExceeded
+from .errors import Breakdown, EkstabError, ParseError, SizeCapExceeded
 
 SIZE_CAP_DEFAULT = 500
 SIZE_CAP_ENV = "EKSTAB_ORACLE_CAP"
@@ -22,7 +22,12 @@ SIZE_CAP_ENV = "EKSTAB_ORACLE_CAP"
 
 def size_cap():
     value = os.environ.get(SIZE_CAP_ENV)
-    return int(value) if value else SIZE_CAP_DEFAULT
+    if not value:
+        return SIZE_CAP_DEFAULT
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise ParseError(f"{SIZE_CAP_ENV}={value!r} is not an integer") from exc
 
 
 def _check_cap(n_v, cap):

@@ -15,8 +15,14 @@ import numpy as np
 import scipy.linalg as la
 
 from . import kernels
-from .arnoldi import FORWARD, projected_input
-from .errors import DimensionMismatch, ModeMismatch, SingularSaddle, SingularShift
+from .arnoldi import FORWARD, OperatorPair, projected_input
+from .errors import (
+    DimensionMismatch,
+    ModeMismatch,
+    SingularCapture,
+    SingularSaddle,
+    SingularShift,
+)
 
 STATE_SPACE = "state_space"
 GENERALIZED = "generalized"
@@ -90,19 +96,26 @@ def build_reduced(basis, form=STATE_SPACE, order=None):
     raise ModeMismatch(f"unknown reduced form {form!r}")
 
 
-def eval_full_tf(sys_, s):
+def eval_full_tf(system, s):
     """Exact transfer function [C 0] [[sM-A, -G], [-G^T, 0]]^-1 [B; 0].
 
-    One complex sparse factorization of the shifted saddle matrix and
-    n_b solves; the sign of the constraint blocks only flips the
-    discarded multiplier.
+    ``system`` is a DescriptorSystem or a ClosedLoopSystem; for the latter
+    A is A - B K, solved through the shifted factorization plus an SMW
+    correction.  One complex sparse factorization of the shifted saddle
+    matrix and n_b solves; the sign of the constraint blocks only flips
+    the discarded multiplier.
     """
-    shifted = (s * sys_.M - sys_.A).tocsc()
+    closed = isinstance(system, OperatorPair)
+    sys_ = system.sys if closed else system
+    b = sys_.B.astype(complex)
     try:
-        fact = kernels.factor_saddle(shifted, sys_.G, kind="shifted", shift=s)
-    except SingularSaddle as exc:
+        fact = sys_.saddle("shifted", s)
+        if closed:
+            x = kernels.SmwCorrector(fact, b, system.k_matrix, -1.0).solve(b)
+        else:
+            x = kernels.solve_saddle(fact, b)
+    except (SingularSaddle, SingularCapture) as exc:
         raise SingularShift(f"shift {s} hits the pencil spectrum: {exc}") from exc
-    x = kernels.solve_saddle(fact, sys_.B.astype(complex))
     return sys_.C @ x
 
 
@@ -140,18 +153,19 @@ class SweepResult:
     skipped: list = field(default_factory=list)
 
 
-def frequency_sweep(sys_, model, w_lo=1e-5, w_hi=1e5, n_points=200):
+def frequency_sweep(system, model, w_lo=1e-5, w_hi=1e5, n_points=200):
     """Sample the exact and reduced responses over a log-spaced grid.
 
-    Records sigma_max(F(jw) - F_m(jw)) per point; a shift that hits the
-    spectrum is recorded in ``skipped`` and the sweep continues.
-    ``hinf_sample`` is the grid maximum of the error, a lower bound on
-    the true Hinf error norm.
+    ``system`` is a DescriptorSystem or a ClosedLoopSystem.  Records
+    sigma_max(F(jw) - F_m(jw)) per point; a shift that hits the spectrum
+    is recorded in ``skipped`` and the sweep continues.  ``hinf_sample``
+    is the grid maximum of the error, a lower bound on the true Hinf
+    error norm.
     """
     if not w_lo < w_hi:
         raise DimensionMismatch(f"need w_lo < w_hi, got {w_lo}, {w_hi}")
     omegas = np.logspace(np.log10(w_lo), np.log10(w_hi), n_points)
-    shape = (sys_.n_c, sys_.n_b)
+    shape = (model.n_outputs, model.n_inputs)
     full_vals, red_vals = [], []
     full_norms = np.full(n_points, np.nan)
     red_norms = np.full(n_points, np.nan)
@@ -160,7 +174,7 @@ def frequency_sweep(sys_, model, w_lo=1e-5, w_hi=1e5, n_points=200):
     for i, w in enumerate(omegas):
         s = 1j * w
         try:
-            f = eval_full_tf(sys_, s)
+            f = eval_full_tf(system, s)
             g = eval_reduced_tf(model, s)
         except SingularShift:
             skipped.append(i)

@@ -8,7 +8,8 @@ or generated synthetically for desk-scale testing.
 """
 
 import os
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.io as sio
@@ -17,6 +18,7 @@ import scipy.sparse as sp
 
 from . import kernels
 from .errors import (
+    DimensionMismatch,
     InfeasibleSpec,
     ParseError,
     RankDeficient,
@@ -40,6 +42,38 @@ class DescriptorSystem:
     G: sp.csc_matrix
     B: np.ndarray
     C: np.ndarray
+    _factors: weakref.WeakValueDictionary = field(
+        default_factory=weakref.WeakValueDictionary,
+        init=False,
+        repr=False,
+        compare=False,
+    )
+
+    def saddle(self, kind, shift=None):
+        """Sparse LU factors of the saddle block [[W, G], [G^T, 0]].
+
+        ``kind`` selects W: "mass" (M), "stiffness" (A), "shifted"
+        (shift M - A) or "euler" (M - shift A).  A factorization is held
+        weakly, keyed by (kind, shift): every caller asking while another
+        object still holds it gets the same factors, and it is freed with
+        its last holder, so a long-lived system accumulates nothing.
+        """
+        key = (kind, shift)
+        fact = self._factors.get(key)
+        if fact is None:
+            if kind == "mass":
+                W = self.M
+            elif kind == "stiffness":
+                W = self.A
+            elif kind == "shifted":
+                W = (shift * self.M - self.A).tocsc()
+            elif kind == "euler":
+                W = (self.M - shift * self.A).tocsc()
+            else:
+                raise DimensionMismatch(f"unknown saddle kind {kind!r}")
+            fact = kernels.factor_saddle(W, self.G, kind=kind, shift=shift)
+            self._factors[key] = fact
+        return fact
 
     @property
     def n_v(self):
@@ -138,23 +172,30 @@ def load_system(paths, validate=True):
     return sys_
 
 
-def load_bundle(manifest_path, validate=True):
-    """Load a system from a key-value manifest referencing the matrix files."""
+def read_key_values(path, what):
+    """``key = value`` lines of a file as a dict; blank and '#' lines are skipped.
+
+    ``what`` names the file in error messages ("manifest", "config").
+    """
     entries = {}
     try:
-        with open(manifest_path) as f:
+        with open(path) as f:
             for line in f:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
-                    raise ParseError(
-                        f"malformed manifest line in {manifest_path}: {line!r}"
-                    )
+                    raise ParseError(f"malformed {what} line in {path}: {line!r}")
                 key, value = line.split("=", 1)
                 entries[key.strip()] = value.strip()
     except OSError as exc:
-        raise ParseError(f"cannot read manifest {manifest_path}: {exc}") from exc
+        raise ParseError(f"cannot read {what} {path}: {exc}") from exc
+    return entries
+
+
+def load_bundle(manifest_path, validate=True):
+    """Load a system from a key-value manifest referencing the matrix files."""
+    entries = read_key_values(manifest_path, "manifest")
     base = os.path.dirname(os.path.abspath(manifest_path))
     paths = {}
     for key in _MATRIX_KEYS:

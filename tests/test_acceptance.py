@@ -10,7 +10,7 @@ import numpy as np
 import scipy.linalg as la
 
 from ekstab import oracle
-from ekstab.arnoldi import ADJOINT, FORWARD, assemble_T, ekba_basis
+from ekstab.arnoldi import ADJOINT, FORWARD, ekba_basis
 from ekstab.cli import main
 from ekstab.closedloop import (
     ClosedLoopSystem,
@@ -80,7 +80,7 @@ def test_02_basis_suite(sys60, proj60):
     for mode, adjoint in ((FORWARD, False), (ADJOINT, True)):
         b = ekba_basis(sys60, 5, mode)
         f = oracle.projected_operator(sys60, proj60, adjoint=adjoint)
-        tbar = assemble_T(b, 5)
+        tbar = b.Tbar(5)
         rel[mode] = la.norm(f @ b.V(5) - b.V(6) @ tbar, 2) / la.norm(tbar, 2)
     tsys = oracle.theta_system(sys60, proj60)
     v_theta, _ = oracle.theta_arnoldi(tsys, 5)

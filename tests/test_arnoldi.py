@@ -7,7 +7,6 @@ from ekstab import kernels, oracle
 from ekstab.arnoldi import (
     ADJOINT,
     FORWARD,
-    assemble_T,
     ekba_basis,
     ekba_init,
     ekba_step,
@@ -77,7 +76,7 @@ class TestStep:
         m = 5
         basis = ekba_basis(sys60, m, FORWARD)
         F = oracle.projected_operator(sys60, proj60)
-        tbar = assemble_T(basis, m)
+        tbar = basis.Tbar(m)
         lhs = F @ basis.V(m)
         assert la.norm(lhs - basis.V(m + 1) @ tbar, 2) <= 1e-8 * la.norm(tbar, 2)
 
@@ -92,14 +91,14 @@ class TestStep:
         m = 4
         basis = ekba_basis(sys60, m, ADJOINT)
         F = oracle.projected_operator(sys60, proj60, adjoint=True)
-        tbar = assemble_T(basis, m)
+        tbar = basis.Tbar(m)
         lhs = F @ basis.V(m)
         assert la.norm(lhs - basis.V(m + 1) @ tbar, 2) <= 1e-8 * la.norm(tbar, 2)
 
     def test_hessenberg_structural_zeros(self, sys60):
         m = 5
         basis = ekba_basis(sys60, m, FORWARD)
-        tbar = assemble_T(basis, m)
+        tbar = basis.Tbar(m)
         w = basis.width
         for j in range(m):
             assert np.all(tbar[(j + 2) * w :, j * w : (j + 1) * w] == 0.0)

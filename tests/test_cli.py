@@ -102,6 +102,17 @@ class TestStabilize:
         assert payload["closed_loop_max_real"] < 0.0
         assert (tmp_path / "closedloop_sweep.csv").exists()
 
+    def test_exactness_error_column(self, bundle, tmp_path):
+        rc = main(
+            ["stabilize", "--bundle", str(bundle), "--m", "13", "--points", "40",
+             "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        rows = (tmp_path / "closedloop_sweep.csv").read_text().splitlines()[1:]
+        errors = [float(r.split(",")[3]) for r in rows]
+        assert len(errors) == 40
+        assert max(errors) <= 1e-8
+
 
 class TestSimulate:
     def test_open_and_reduced(self, bundle, tmp_path):
@@ -160,6 +171,45 @@ class TestErrorsAndConfig:
         ) == 0
         rows = (out2 / "sweep.csv").read_text().splitlines()[1:]
         assert len(rows) == 5  # explicit flag wins
+
+    def test_config_value_takes_the_flag_type(self, bundle, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("cap = 600\n")
+        assert main(["verify", "--bundle", str(bundle), "--config", str(cfg)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("line", ["m = x", "form = bogus"])
+    def test_invalid_config_value(self, bundle, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        rc = main(
+            ["reduce", "--bundle", str(bundle), "--config", str(cfg),
+             "--out", str(tmp_path / "o")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ParseError:")
+
+    @pytest.mark.parametrize(
+        "argv, env, kind",
+        [
+            (["simulate", "--input", "const:a"], None, "ParseError"),
+            (["simulate", "--input", "const:1,2,3"], None, "DimensionMismatch"),
+            (["verify"], "abc", "ParseError"),
+        ],
+    )
+    def test_bad_input_is_single_line_error(
+        self, bundle, tmp_path, capsys, monkeypatch, argv, env, kind
+    ):
+        if env is not None:
+            monkeypatch.setenv("EKSTAB_ORACLE_CAP", env)
+        extra = ["--out", str(tmp_path)] if argv[0] == "simulate" else []
+        rc = main(argv + ["--bundle", str(bundle)] + extra)
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {kind}:")
 
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(

@@ -26,7 +26,7 @@ from ekstab.errors import (
 )
 from ekstab.reduction import build_reduced
 from ekstab.riccati import FeedbackGain, ebara_solve, feedback_gain
-from ekstab.sysmodel import SyntheticSpec, generate_synthetic
+from ekstab.sysmodel import SyntheticSpec, Unstable, generate_synthetic
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +153,43 @@ class TestReduceClosedLoop:
         assert np.nanmax(sweep.errors) <= 1e-6
 
 
+class TestSharedFactors:
+    @pytest.fixture
+    def kinds(self, monkeypatch):
+        made = []
+        real = kernels.factor_saddle
+
+        def counting(*args, **kwargs):
+            fact = real(*args, **kwargs)
+            made.append(fact.kind)
+            return fact
+
+        monkeypatch.setattr(kernels, "factor_saddle", counting)
+        return made
+
+    @pytest.fixture
+    def fresh(self):
+        return generate_synthetic(
+            SyntheticSpec(60, 8, n_b=2, n_c=2, seed=7, unstable=Unstable(2, 0.5))
+        )
+
+    def test_one_factor_per_block_across_stages(self, fresh, kinds):
+        solution = ebara_solve(fresh, tol=1e-8)
+        cl = ClosedLoopSystem(fresh, feedback_gain(solution.z, fresh))
+        basis, _ = reduce_closed_loop(cl, 4)
+        assert sorted(kinds) == ["mass", "stiffness"]
+        simulate_dae(cl, constant_input(np.ones(fresh.n_b)), h=0.05, t_end=1.0)
+        assert sorted(kinds) == ["euler", "mass", "stiffness"]
+
+    def test_factors_freed_with_their_last_holder(self, fresh, kinds):
+        solution = ebara_solve(fresh, tol=1e-8)
+        cl = ClosedLoopSystem(fresh, feedback_gain(solution.z, fresh))
+        basis, _ = reduce_closed_loop(cl, 4)
+        del solution, cl, basis
+        ebara_solve(fresh, tol=1e-8)
+        assert sorted(kinds) == ["mass", "mass", "stiffness", "stiffness"]
+
+
 class TestSimulateDae:
     def test_zero_everything(self, sys60):
         traj = simulate_dae(sys60, zero_input(sys60.n_b), h=0.1, t_end=2.0)
@@ -211,6 +248,12 @@ class TestSimulateDae:
         fact = kernels.factor_saddle(sys60.M, sys60.G, kind="mass")
         v0 = kernels.solve_saddle(fact, rng.standard_normal(sys60.n_v))
         traj = simulate_dae(sys60, zero_input(sys60.n_b), h=0.1, t_end=1.0, v0=v0)
+        assert np.all(np.isfinite(traj.outputs))
+
+    def test_admissible_initial_state_single_pressure(self):
+        sys_ = generate_synthetic(SyntheticSpec(20, 1, n_b=1, n_c=1, seed=5))
+        v0 = kernels.solve_saddle(sys_.saddle("mass"), np.ones(sys_.n_v))
+        traj = simulate_dae(sys_, zero_input(1), h=0.1, t_end=1.0, v0=v0)
         assert np.all(np.isfinite(traj.outputs))
 
     def test_first_order_convergence(self):

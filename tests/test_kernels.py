@@ -146,6 +146,17 @@ class TestSolveSaddle:
         )
         assert la.norm(x - full[:10]) <= 1e-10 * la.norm(full[:10])
 
+    def test_adjoint_solve_on_forward_factor(self):
+        # [[A, G], [G^T, 0]]^T = [[A^T, G], [G^T, 0]]: one factor serves both.
+        rng = np.random.default_rng(8)
+        s = generate_synthetic(SyntheticSpec(60, 8, n_b=2, n_c=2, seed=7))
+        forward = factor_saddle(s.A, s.G, kind="stiffness")
+        transposed = factor_saddle(s.A.T.tocsc(), s.G, kind="stiffness")
+        rhs = rng.standard_normal((60, 3))
+        x = solve_saddle(forward, rhs, adjoint=True)
+        ref = solve_saddle(transposed, rhs)
+        assert la.norm(x - ref) <= 1e-12 * la.norm(ref)
+
 
 class TestThinQR:
     def test_identity_columns(self):
