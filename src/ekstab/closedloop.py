@@ -119,9 +119,21 @@ def read_input_csv(path):
 
 
 def _as_signal(u, n_b):
+    """A callable input signal with n_b entries per sample.
+
+    A callable ``u`` is sampled once, at t = 0, where every simulation
+    starts; a sample of another shape (a CSV with the wrong column count,
+    say) is a DimensionMismatch here rather than a broadcast error
+    mid-run.
+    """
     if u is None:
         return zero_input(n_b)
     if callable(u):
+        shape = np.shape(u(0.0))
+        if shape != (n_b,):
+            raise DimensionMismatch(
+                f"input signal gives samples of shape {shape}, expected ({n_b},)"
+            )
         return u
     values = np.atleast_1d(np.asarray(u, dtype=float))
     if values.size == 1 and n_b > 1:

@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.io as sio
 
+import ekstab
 from ekstab.cli import main
 from ekstab.sysmodel import load_bundle
 
@@ -211,12 +214,29 @@ class TestErrorsAndConfig:
         assert len(err) == 1
         assert err[0].startswith(f"error: {kind}:")
 
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_input_csv_of_wrong_width(self, bundle, tmp_path, capsys, columns):
+        path = tmp_path / "u.csv"
+        header = ",".join(["t"] + [f"u_{i + 1}" for i in range(columns)])
+        path.write_text(f"{header}\n0,{','.join(['1'] * columns)}\n")
+        rc = main(
+            ["simulate", "--bundle", str(bundle), "--input", f"csv:{path}",
+             "--out", str(tmp_path / "o")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: DimensionMismatch:")
+
     def test_console_entry_point(self, tmp_path):
+        # The child imports the package from where this process found it.
+        paths = [str(Path(ekstab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
         result = subprocess.run(
             [sys.executable, "-m", "ekstab.cli", "gen", "--nv", "20", "--np", "3",
              "--seed", "1", "--out", str(tmp_path / "g")],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
         )
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "g" / "system.manifest").exists()

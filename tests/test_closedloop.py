@@ -20,6 +20,7 @@ from ekstab.closedloop import (
     Trajectory,
 )
 from ekstab.errors import (
+    DimensionMismatch,
     InvalidInitialState,
     SimulationDiverged,
     SingularCapture,
@@ -279,6 +280,12 @@ class TestSimulateReduced:
         model = build_reduced(basis)
         traj = simulate_reduced(model, zero_input(sys60.n_b), h=0.1, t_end=2.0)
         assert np.all(traj.outputs == 0.0)
+
+    def test_input_of_wrong_width(self, sys60):
+        model = build_reduced(ekba_basis(sys60, 2, FORWARD))
+        u = sampled_input([0.0], [[1.0] * (sys60.n_b + 1)])
+        with pytest.raises(DimensionMismatch):
+            simulate_reduced(model, u, h=0.1, t_end=1.0)
 
     def test_exactness_matches_full(self, sys60):
         m = (sys60.n_v - sys60.n_p) // (2 * sys60.n_b)
