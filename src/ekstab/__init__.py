@@ -56,7 +56,6 @@ from .kernels import (
     SaddleFactorization,
     block_gram_schmidt,
     dense_generalized_eigen,
-    dense_schur_real,
     dense_svd,
     factor_saddle,
     solve_saddle,

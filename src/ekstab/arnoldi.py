@@ -6,7 +6,9 @@ application of the operator or its inverse is one solve against a cached
 saddle-point factorization.  Alongside the basis the process accumulates,
 by explicit projection of the operator images, the projected-operator
 Hessenberg matrix (one extra mass-block solve per step for the
-inverse-branch columns).
+inverse-branch columns).  The other work of a step is two Gram-Schmidt
+matrix products against the contiguous basis and one reprojection onto
+G^T v = 0, a solve with the sparse identity block [[I, G], [G^T, 0]].
 """
 
 from functools import cached_property
@@ -75,56 +77,94 @@ class OperatorPair:
             return self._stiff_smw.solve(rhs)
         return kernels.solve_saddle(self.fact_stiff, rhs, adjoint=self.adjoint)
 
-    def reproject(self, X):
-        """Constraint cleanup via one mass-block solve: X -> M^-1 Pi M X.
+    @cached_property
+    def fact_identity(self):
+        return self.sys.saddle("identity")
 
-        The identity Pi M = M Pi^T makes this the oblique projection onto
-        the constraint manifold, an exact no-op on blocks that already
-        satisfy G^T X = 0; applying it after Gram-Schmidt cancellation
-        keeps the off-manifold rounding noise from being amplified when a
-        nearly exhausted candidate block is normalized.
+    def reproject(self, X):
+        """Constraint cleanup via one identity-block solve.
+
+        The solve with [[I, G], [G^T, 0]] applies the orthogonal
+        projector P = I - G (G^T G)^-1 G^T onto null(G^T).  P is an exact
+        no-op on blocks that already satisfy G^T X = 0, so applied after
+        Gram-Schmidt it removes only the rounding-level part off the
+        constraint manifold, keeping that noise from being amplified when
+        a nearly exhausted candidate block is normalized.  Being
+        symmetric with norm one, P cannot enlarge the candidate, and
+        V^T P X = V^T X for a basis V inside null(G^T), so it puts back
+        no component along the basis.  The identity block fills far less
+        than the mass block, so the solve costs a fraction of a
+        mass-block solve.
         """
-        return kernels.solve_saddle(self.fact_mass, self.apply_mass(X))
+        return kernels.solve_saddle(self.fact_identity, X)
 
 
 class ExtendedBasis:
     """Orthonormal blocks plus Hessenberg data from the extended Arnoldi process.
 
-    ``blocks[j]`` is the j-th n_v x 2b orthonormal block; ``m`` counts the
-    blocks, so the projection space of order k uses the first k blocks.
-    ``lam`` is the 2b x 2b triangular factor of the initial QR.  The
-    projected-operator columns are stored per step and assembled on
-    demand into the square or rectangular block Hessenberg matrix.
+    The blocks are column slices of one Fortran-ordered n_v x (capacity 2b)
+    array: ``block(j)`` is the j-th n_v x 2b orthonormal block and ``V(m)``
+    the first m blocks, both read-only views, never copies.  ``m`` counts
+    the blocks, so the projection space of order k uses the first k
+    blocks.  ``append`` doubles the capacity when the array is full;
+    ``reserve`` sets it ahead, and pages of the array that no block has
+    reached stay untouched.  ``lam`` is the 2b x 2b triangular factor of
+    the initial QR.  The projected-operator columns are stored per step
+    and assembled on demand into the square or rectangular block
+    Hessenberg matrix.
     """
 
-    def __init__(self, ops, mode, blocks, lam):
+    def __init__(self, ops, mode, first, lam):
         self.ops = ops
         self.mode = mode
-        self.blocks = blocks
         self.lam = lam
+        self.width = first.shape[1]
+        self.m = 0
+        self._store = np.empty((first.shape[0], self.width), order="F")
         self.tcols = []
         self.breakdown_at = None
-
-    @property
-    def m(self):
-        return len(self.blocks)
-
-    @property
-    def width(self):
-        """Block width 2b."""
-        return self.blocks[0].shape[1]
+        self.append(first)
 
     @property
     def lam11(self):
         b = self.width // 2
         return self.lam[:b, :b]
 
+    def reserve(self, blocks):
+        """Make room for ``blocks`` blocks, at most the n_v // 2b of a full basis."""
+        n_v, cols = self._store.shape
+        blocks = min(blocks, n_v // self.width)
+        if blocks * self.width > cols:
+            store = np.empty((n_v, blocks * self.width), order="F")
+            used = self.m * self.width
+            store[:, :used] = self._store[:, :used]
+            self._store = store
+
+    def append(self, q):
+        """Store the next orthonormal block, doubling the capacity when full."""
+        start = self.m * self.width
+        if start == self._store.shape[1]:
+            self.reserve(2 * self.m)
+        self._store[:, start : start + self.width] = q
+        self.m += 1
+
+    def _view(self, start, stop):
+        view = self._store[:, start:stop]
+        view.flags.writeable = False
+        return view
+
+    def block(self, j):
+        """The j-th orthonormal block (0-based)."""
+        if not 0 <= j < self.m:
+            raise DimensionMismatch(f"basis holds {self.m} blocks, requested block {j}")
+        return self._view(j * self.width, (j + 1) * self.width)
+
     def V(self, m=None):
         """The orthonormal matrix formed by the first m blocks."""
         m = self.m if m is None else m
         if not 1 <= m <= self.m:
             raise DimensionMismatch(f"basis holds {self.m} blocks, requested {m}")
-        return np.column_stack(self.blocks[:m])
+        return self._view(0, m * self.width)
 
     def steps_completed(self):
         return len(self.tcols)
@@ -186,7 +226,7 @@ def ekba_init(source, mode=FORWARD):
     v2 = ops.solve_stiff(s)
     first = np.column_stack([v1, v2])
     qr = kernels.thin_qr(first)
-    return ExtendedBasis(ops=ops, mode=mode, blocks=[qr.q], lam=qr.r)
+    return ExtendedBasis(ops=ops, mode=mode, first=qr.q, lam=qr.r)
 
 
 def ekba_step(basis):
@@ -206,15 +246,16 @@ def ekba_step(basis):
             iteration=basis.breakdown_at,
         )
     j = basis.m
-    vj = basis.blocks[-1]
+    vj = basis.block(j - 1)
     b = basis.width // 2
     images = basis.ops.solve_mass(basis.ops.apply(vj))
-    inverse = basis.ops.solve_stiff(basis.ops.apply_mass(vj[:, b:]))
-    cand = np.column_stack([images[:, :b], inverse])
+    cand = np.empty_like(images, order="F")
+    cand[:, :b] = images[:, :b]
+    cand[:, b:] = basis.ops.solve_stiff(basis.ops.apply_mass(vj[:, b:]))
     scale = np.linalg.norm(cand, 2)
-    _, w = kernels.block_gram_schmidt(cand, basis.blocks)
+    _, w = kernels.block_gram_schmidt(cand, basis.V(j))
     w = basis.ops.reproject(w)
-    _, w = kernels.block_gram_schmidt(w, basis.blocks)
+    _, w = kernels.block_gram_schmidt(w, basis.V(j))
     try:
         qr = kernels.thin_qr(w, rank_scale=scale)
     except RankDeficient as exc:
@@ -223,7 +264,7 @@ def ekba_step(basis):
         raise Breakdown(
             f"rank-deficient candidate block at step {j}", iteration=j
         ) from exc
-    basis.blocks.append(qr.q)
+    basis.append(qr.q)
     basis.tcols.append(basis.V(j + 1).T @ images)
     return basis
 
@@ -236,6 +277,7 @@ def ekba_basis(source, m, mode=FORWARD, allow_breakdown=True):
     ``breakdown_at`` set (or Breakdown propagates if not allowed).
     """
     basis = ekba_init(source, mode)
+    basis.reserve(m + 1)
     for _ in range(m):
         try:
             ekba_step(basis)

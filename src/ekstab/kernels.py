@@ -56,10 +56,11 @@ class SaddleFactorization:
     """Sparse LU factors of the block matrix [[W, G], [G^T, 0]].
 
     ``kind`` labels which leading block was factored ("mass", "stiffness",
-    "shifted", "euler"); ``shift`` carries the scalar for shifted blocks.
-    The factors are those of [[W, scale G], [scale G^T, 0]], ordered by
-    ``ordering``; the velocity rows of a solve do not depend on
-    ``scale``.  The n_p = 0 degenerate case factors W alone.
+    "shifted", "euler", "identity"); ``shift`` carries the scalar for
+    shifted blocks.  The factors are those of
+    [[W, scale G], [scale G^T, 0]], ordered by ``ordering``; the velocity
+    rows of a solve do not depend on ``scale``.  The n_p = 0 degenerate
+    case factors W alone.
     """
 
     kind: str
@@ -235,30 +236,26 @@ def thin_qr(X, rank_scale=None):
     return BlockQR(q=q, r=r)
 
 
-def block_gram_schmidt(candidate, existing):
-    """Orthogonalize a block against a list of orthonormal blocks.
+def block_gram_schmidt(candidate, basis):
+    """Orthogonalize a block against the columns of an orthonormal matrix.
 
-    One classical Gram-Schmidt pass, with a single reorthogonalization
-    applied when any column norm drops by more than REORTH_RATIO.
-    Returns the coefficient blocks (one per existing block, second-pass
+    ``basis`` is the n x k orthonormal matrix (k may be 0).  One
+    classical Gram-Schmidt pass h = V^T W, W -= V h is two matrix
+    products over all k columns at once, with a single
+    reorthogonalization pass applied when any column norm drops by more
+    than REORTH_RATIO.  Returns the k x b coefficient matrix (second-pass
     corrections accumulated) and the orthogonalized candidate.
     """
     W = np.array(candidate, dtype=float, copy=True)
-    if not existing:
-        return [], W
-    coeffs = []
     before = la.norm(W, axis=0)
-    for V in existing:
-        h = V.T @ W
-        W -= V @ h
-        coeffs.append(h)
+    coeffs = basis.T @ W
+    W -= basis @ coeffs
     after = la.norm(W, axis=0)
     scale = np.where(before > 0.0, before, 1.0)
     if np.any(after < REORTH_RATIO * scale):
-        for i, V in enumerate(existing):
-            h = V.T @ W
-            W -= V @ h
-            coeffs[i] += h
+        h = basis.T @ W
+        W -= basis @ h
+        coeffs += h
     return coeffs, W
 
 
@@ -268,23 +265,6 @@ def dense_svd(X):
         return la.svd(np.asarray(X, dtype=float), full_matrices=False)
     except la.LinAlgError as exc:
         raise NoConvergence(f"SVD failed to converge: {exc}") from exc
-
-
-def dense_schur_real(X, sort=None):
-    """Real Schur form X = Q S Q^T with optional eigenvalue reordering.
-
-    Returns (Q, S) or (Q, S, sdim) when ``sort`` is given; ``sort``
-    follows scipy conventions ('lhp', 'rhp', or a callable on
-    (re, im)).
-    """
-    try:
-        if sort is None:
-            S, Q = la.schur(np.asarray(X, dtype=float), output="real")
-            return Q, S
-        S, Q, sdim = la.schur(np.asarray(X, dtype=float), output="real", sort=sort)
-        return Q, S, sdim
-    except la.LinAlgError as exc:
-        raise NoConvergence(f"Schur decomposition failed: {exc}") from exc
 
 
 def dense_generalized_eigen(A, B):

@@ -225,6 +225,7 @@ def ebara_solve(
             status=CONVERGED,
         )
     basis = ekba_init(sys_, ADJOINT)
+    basis.reserve(m_max + 1)
     lam11 = basis.lam11
     denominator = la.norm(lam11 @ lam11.T, 2)
     history = []

@@ -53,10 +53,12 @@ class DescriptorSystem:
         """Sparse LU factors of the saddle block [[W, G], [G^T, 0]].
 
         ``kind`` selects W: "mass" (M), "stiffness" (A), "shifted"
-        (shift M - A) or "euler" (M - shift A).  A factorization is held
-        weakly, keyed by (kind, shift): every caller asking while another
-        object still holds it gets the same factors, and it is freed with
-        its last holder, so a long-lived system accumulates nothing.
+        (shift M - A), "euler" (M - shift A) or "identity" (I, whose
+        solve is the orthogonal projection onto null(G^T)).  A
+        factorization is held weakly, keyed by (kind, shift): every
+        caller asking while another object still holds it gets the same
+        factors, and it is freed with its last holder, so a long-lived
+        system accumulates nothing.
         """
         key = (kind, shift)
         fact = self._factors.get(key)
@@ -69,6 +71,8 @@ class DescriptorSystem:
                 W = (shift * self.M - self.A).tocsc()
             elif kind == "euler":
                 W = (self.M - shift * self.A).tocsc()
+            elif kind == "identity":
+                W = sp.identity(self.n_v, format="csc")
             else:
                 raise DimensionMismatch(f"unknown saddle kind {kind!r}")
             fact = kernels.factor_saddle(W, self.G, kind=kind, shift=shift)
@@ -146,9 +150,10 @@ def _read_matrix(path):
 def load_system(paths, validate=True):
     """Assemble a DescriptorSystem from per-matrix Matrix Market files.
 
-    ``paths`` maps the keys M, A, G, B, C to file paths.  M is
-    symmetrized when its relative asymmetry is below 1e-12 and rejected
-    otherwise; B and C are densified.
+    ``paths`` maps the keys M, A, G, B, C to file paths.  A NaN or Inf
+    stored entry in any of them is rejected.  M is symmetrized when its
+    relative asymmetry is below 1e-12 and rejected otherwise; B and C
+    are densified.
     """
     missing = [k for k in _MATRIX_KEYS if k not in paths]
     if missing:
@@ -159,6 +164,10 @@ def load_system(paths, validate=True):
     G = sp.csc_matrix(raw["G"])
     B = np.atleast_2d(np.asarray(raw["B"].todense() if sp.issparse(raw["B"]) else raw["B"], dtype=float))
     C = np.atleast_2d(np.asarray(raw["C"].todense() if sp.issparse(raw["C"]) else raw["C"], dtype=float))
+    # Before the symmetry check: a NaN norm compares False and passes it.
+    for key, mat in zip(_MATRIX_KEYS, (M, A, G, B, C)):
+        if not np.isfinite(mat.data if sp.issparse(mat) else mat).all():
+            raise ValidationError(f"finite: {key} has a NaN or Inf entry")
     nrm = sp.linalg.norm(M)
     asym = sp.linalg.norm(M - M.T)
     if nrm > 0 and asym > SYM_TOL * nrm:

@@ -13,7 +13,12 @@ from ekstab.arnoldi import (
     projected_input,
 )
 from ekstab.errors import Breakdown, RankDeficient
-from ekstab.sysmodel import DescriptorSystem
+from ekstab.sysmodel import (
+    DescriptorSystem,
+    GridSpec,
+    SyntheticSpec,
+    generate_synthetic,
+)
 
 
 def _spd(rng, n):
@@ -152,6 +157,75 @@ class TestStep:
         v_theta, _ = oracle.theta_arnoldi(tsys, m)
         angles = la.subspace_angles(basis.V(m), v_theta[:, : m * basis.width])
         assert angles.max() <= 1e-8
+
+
+@pytest.fixture(scope="module")
+def grid20():
+    return generate_synthetic(
+        SyntheticSpec(400, 25, n_b=2, n_c=2, seed=3, grid=GridSpec(20, 20))
+    )
+
+
+def _orthogonal_projector(sys_):
+    g = sys_.G.toarray()
+    return np.eye(sys_.n_v) - g @ la.solve(g.T @ g, g.T)
+
+
+class TestReproject:
+    @pytest.mark.parametrize("name", ["sys60", "grid20"])
+    def test_equals_orthogonal_projector(self, name, request):
+        sys_ = request.getfixturevalue(name)
+        ops = ekba_init(sys_, FORWARD).ops
+        X = np.random.default_rng(31).standard_normal((sys_.n_v, 4))
+        ref = _orthogonal_projector(sys_) @ X
+        assert la.norm(ops.reproject(X) - ref, 2) <= 1e-12 * la.norm(X, 2)
+
+    @pytest.mark.parametrize("name", ["sys60", "grid20"])
+    def test_no_op_on_the_constraint_manifold(self, name, request):
+        sys_ = request.getfixturevalue(name)
+        ops = ekba_init(sys_, FORWARD).ops
+        rng = np.random.default_rng(32)
+        X = _orthogonal_projector(sys_) @ rng.standard_normal((sys_.n_v, 4))
+        assert la.norm(sys_.G.T @ X, 2) <= 1e-12 * la.norm(X, 2)
+        assert la.norm(ops.reproject(X) - X, 2) <= 1e-12 * la.norm(X, 2)
+
+    def test_step_solve_columns_per_block(self, sys60, monkeypatch):
+        basis = ekba_init(sys60, FORWARD)
+        b = basis.width // 2
+        cols = {}
+        real = kernels.solve_saddle
+
+        def counting(fact, rhs, *args, **kwargs):
+            cols[fact.kind] = cols.get(fact.kind, 0) + (1 if rhs.ndim == 1 else rhs.shape[1])
+            return real(fact, rhs, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "solve_saddle", counting)
+        ekba_step(basis)
+        assert cols == {"mass": 2 * b, "stiffness": b, "identity": 2 * b}
+
+
+class TestContiguousBasis:
+    def test_views_share_one_array(self, sys60):
+        basis = ekba_basis(sys60, 3, FORWARD)
+        assert np.shares_memory(basis.V(2), basis.V())
+        assert np.shares_memory(basis.block(3), basis.V())
+        assert not basis.V().flags.writeable
+
+    def test_reserve_is_capped_at_a_full_basis(self, sys60):
+        basis = ekba_basis(sys60, 10**12, FORWARD)
+        assert basis.m * basis.width == sys60.n_v - sys60.n_p
+
+    def test_growth_past_the_reserve_matches_reserved_basis(self, sys60):
+        m = 6
+        grown = ekba_init(sys60, FORWARD)
+        for _ in range(m):
+            ekba_step(grown)
+        reserved = ekba_basis(sys60, m, FORWARD)
+        assert grown.m == reserved.m == m + 1
+        assert la.norm(grown.V() - reserved.V(), 2) <= 1e-14
+        assert la.norm(grown.Tbar() - reserved.Tbar(), 2) <= 1e-14 * la.norm(
+            reserved.Tbar(), 2
+        )
 
 
 class TestProjectedInput:

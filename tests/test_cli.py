@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -156,6 +157,21 @@ class TestErrorsAndConfig:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ParseError:")
+
+    def test_non_finite_matrix_is_single_line_error(self, bundle, tmp_path, capsys):
+        data = tmp_path / "bundle"
+        shutil.copytree(bundle.parent, data)
+        b = np.asarray(sio.mmread(data / "B.mtx"))
+        b[0, 0] = np.nan
+        sio.mmwrite(data / "B.mtx", b, precision=17)
+        rc = main(
+            ["reduce", "--bundle", str(data / "system.manifest"), "--m", "2",
+             "--out", str(tmp_path / "out")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ValidationError: finite: B ")
 
     def test_config_file_defaults_and_flag_priority(self, bundle, tmp_path):
         cfg = tmp_path / "run.cfg"

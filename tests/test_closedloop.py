@@ -178,9 +178,9 @@ class TestSharedFactors:
         solution = ebara_solve(fresh, tol=1e-8)
         cl = ClosedLoopSystem(fresh, feedback_gain(solution.z, fresh))
         basis, _ = reduce_closed_loop(cl, 4)
-        assert sorted(kinds) == ["mass", "stiffness"]
+        assert sorted(kinds) == ["identity", "mass", "stiffness"]
         simulate_dae(cl, constant_input(np.ones(fresh.n_b)), h=0.05, t_end=1.0)
-        assert sorted(kinds) == ["euler", "mass", "stiffness"]
+        assert sorted(kinds) == ["euler", "identity", "mass", "stiffness"]
 
     def test_factors_freed_with_their_last_holder(self, fresh, kinds):
         solution = ebara_solve(fresh, tol=1e-8)
@@ -188,7 +188,14 @@ class TestSharedFactors:
         basis, _ = reduce_closed_loop(cl, 4)
         del solution, cl, basis
         ebara_solve(fresh, tol=1e-8)
-        assert sorted(kinds) == ["mass", "mass", "stiffness", "stiffness"]
+        assert sorted(kinds) == [
+            "identity",
+            "identity",
+            "mass",
+            "mass",
+            "stiffness",
+            "stiffness",
+        ]
 
 
 class TestSimulateDae:

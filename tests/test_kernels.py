@@ -10,9 +10,9 @@ from ekstab.errors import (
     SingularSaddle,
 )
 from ekstab.kernels import (
+    REORTH_RATIO,
     block_gram_schmidt,
     dense_generalized_eigen,
-    dense_schur_real,
     dense_svd,
     factor_saddle,
     solve_saddle,
@@ -262,15 +262,15 @@ class TestBlockGramSchmidt:
     def test_empty_existing(self):
         rng = np.random.default_rng(11)
         X = rng.standard_normal((20, 4))
-        coeffs, out = block_gram_schmidt(X, [])
-        assert coeffs == []
+        coeffs, out = block_gram_schmidt(X, np.empty((20, 0)))
+        assert coeffs.shape == (0, 4)
         assert np.array_equal(out, X)
 
     def test_annihilates_span(self):
         rng = np.random.default_rng(12)
         V = thin_qr(rng.standard_normal((30, 4))).q
         cand = V @ rng.standard_normal((4, 4))
-        _, out = block_gram_schmidt(cand, [V])
+        _, out = block_gram_schmidt(cand, V)
         assert la.norm(out) <= 1e-10 * la.norm(cand)
 
     def test_orthogonal_against_blocks(self):
@@ -278,19 +278,40 @@ class TestBlockGramSchmidt:
         q = thin_qr(rng.standard_normal((50, 12))).q
         blocks = [q[:, :4], q[:, 4:8], q[:, 8:12]]
         cand = rng.standard_normal((50, 4))
-        coeffs, out = block_gram_schmidt(cand, blocks)
-        assert len(coeffs) == 3
+        coeffs, out = block_gram_schmidt(cand, q)
+        assert coeffs.shape == (12, 4)
         for v in blocks:
             assert la.norm(v.T @ out) <= 1e-12 * max(1.0, la.norm(out))
 
     def test_reconstruction_from_coefficients(self):
         rng = np.random.default_rng(14)
         q = thin_qr(rng.standard_normal((40, 8))).q
-        blocks = [q[:, :4], q[:, 4:]]
         cand = rng.standard_normal((40, 4))
-        coeffs, out = block_gram_schmidt(cand, blocks)
-        recon = out + sum(v @ h for v, h in zip(blocks, coeffs))
+        coeffs, out = block_gram_schmidt(cand, q)
+        recon = out + q @ coeffs
         assert la.norm(recon - cand) <= 1e-13 * la.norm(cand)
+
+    @pytest.mark.parametrize("mix", [0.0, 0.99])
+    def test_matches_block_by_block_loop(self, mix):
+        # Reference: one pass block by block, repeated under the same rule.
+        rng = np.random.default_rng(17)
+        q = thin_qr(rng.standard_normal((60, 16))).q
+        blocks = [q[:, i : i + 4] for i in range(0, 16, 4)]
+        cand = mix * q @ rng.standard_normal((16, 4)) + (1.0 - mix) * (
+            rng.standard_normal((60, 4))
+        )
+        W, ref = cand.copy(), np.zeros((16, 4))
+        before = la.norm(W, axis=0)
+        for _ in range(2):
+            for i, v in enumerate(blocks):
+                h = v.T @ W
+                W -= v @ h
+                ref[4 * i : 4 * i + 4] += h
+            if np.all(la.norm(W, axis=0) >= REORTH_RATIO * before):
+                break
+        coeffs, out = block_gram_schmidt(cand, q)
+        assert la.norm(coeffs - ref) <= 1e-13 * la.norm(cand)
+        assert la.norm(out - W) <= 1e-13 * la.norm(cand)
 
 
 class TestDenseBackends:
@@ -305,17 +326,3 @@ class TestDenseBackends:
         pm[:10, :10] = s.M.toarray()
         _, finite = dense_generalized_eigen(pa, pm)
         assert int(finite.sum()) == 8
-
-    def test_schur_stable(self):
-        rng = np.random.default_rng(15)
-        a = rng.standard_normal((6, 6))
-        a -= (np.max(la.eigvals(a).real) + 0.5) * np.eye(6)
-        q, s = dense_schur_real(a)
-        assert la.norm(q @ s @ q.T - a) <= 1e-12 * la.norm(a)
-        assert np.all(la.eigvals(s).real < 0.0)
-
-    def test_schur_sorted(self):
-        rng = np.random.default_rng(16)
-        a = rng.standard_normal((6, 6))
-        q, s, sdim = dense_schur_real(a, sort="lhp")
-        assert sdim == int(np.sum(la.eigvals(a).real < 0.0))

@@ -72,6 +72,19 @@ class TestLoadSystem:
         with pytest.raises(ValidationError, match="symmetry"):
             load_system(_paths(tmp_path))
 
+    @pytest.mark.parametrize("key", list("MAGBC"))
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, sys60, tmp_path, key, value):
+        write_system(sys60, tmp_path)
+        mat = getattr(sys60, key).copy()
+        if sp.issparse(mat):
+            mat.data[0] = value
+        else:
+            mat[0, 0] = value
+        sio.mmwrite(os.path.join(tmp_path, f"{key}.mtx"), mat, precision=17)
+        with pytest.raises(ValidationError, match=f"finite: {key} "):
+            load_system(_paths(tmp_path), validate=False)
+
     def test_malformed_file(self, sys60, tmp_path):
         write_system(sys60, tmp_path)
         with open(tmp_path / "A.mtx", "w") as f:
