@@ -28,7 +28,6 @@ from .closedloop import (
     sampled_input,
     simulate_dae,
     simulate_reduced,
-    smw_solve,
     step_input,
     write_trajectory_csv,
     zero_input,

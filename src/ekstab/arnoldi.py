@@ -17,7 +17,6 @@ import numpy as np
 
 from . import kernels
 from .errors import Breakdown, DimensionMismatch, ModeMismatch, RankDeficient
-from .sysmodel import DescriptorSystem
 
 FORWARD = "forward"
 ADJOINT = "adjoint"
@@ -29,8 +28,9 @@ class OperatorPair:
     Forward mode operates with (A, B), adjoint mode with (A^T, C^T).  A
     feedback ``gain`` K (forward mode) replaces A by A - B K, solved
     through a rank-n_b SMW update of the uncorrected factorization.  The
-    factorizations come from the system's shared saddle cache; adjoint
-    mode solves with the transposed forward stiffness factors.
+    factorizations come from the system's shared saddle cache on first
+    use; adjoint mode solves with the transposed forward stiffness
+    factors.
     """
 
     def __init__(self, sys_, adjoint=False, gain=None):
@@ -38,9 +38,7 @@ class OperatorPair:
         self.adjoint = adjoint
         self.gain = gain
         self.start = np.asarray(sys_.C.T if adjoint else sys_.B, dtype=float)
-        self.fact_stiff = sys_.saddle("stiffness")
         self.k_matrix = None
-        self._stiff_smw = None
         if gain is not None:
             if adjoint:
                 raise ModeMismatch("a feedback gain needs a forward-mode pair")
@@ -50,13 +48,42 @@ class OperatorPair:
                     f"{sys_.n_b} x {sys_.n_v}"
                 )
             self.k_matrix = gain.matrix()
-            self._stiff_smw = kernels.SmwCorrector(
-                self.fact_stiff, self.start, self.k_matrix, 1.0
-            )
 
     @cached_property
     def fact_mass(self):
         return self.sys.saddle("mass")
+
+    @cached_property
+    def fact_stiff(self):
+        return self.sys.saddle("stiffness")
+
+    def solver(self, kind, shift=None):
+        """Solve function for the saddle block whose leading block holds A.
+
+        ``kind`` is "stiffness" (W = A), "shifted" (W = shift M - A) or
+        "euler" (W = M - shift A).  Without a gain the function is a plain
+        solve with the block's factors; with one it solves the block with
+        W - c B K, c the coefficient of A in W, through an SMW update of
+        those factors, whose capture matrix is checked here.
+        """
+        if kind == "stiffness":
+            fact, c = self.fact_stiff, 1.0
+        elif kind in ("shifted", "euler") and shift is not None:
+            fact = self.sys.saddle(kind, shift)
+            c = -1.0 if kind == "shifted" else -shift
+        else:
+            raise DimensionMismatch(
+                f"no corrected saddle block of kind {kind!r} with shift {shift!r}"
+            )
+        if self.k_matrix is not None:
+            return kernels.SmwCorrector(fact, self.start, self.k_matrix, c).solve
+        # A closure over the pair itself would hold its factors in a cycle.
+        adjoint = self.adjoint
+        return lambda rhs: kernels.solve_saddle(fact, rhs, adjoint=adjoint)
+
+    @cached_property
+    def solve_stiff(self):
+        return self.solver("stiffness")
 
     def apply(self, X):
         """Matrix product with A^T, A or A - B K."""
@@ -71,11 +98,6 @@ class OperatorPair:
 
     def solve_mass(self, rhs):
         return kernels.solve_saddle(self.fact_mass, rhs)
-
-    def solve_stiff(self, rhs):
-        if self._stiff_smw is not None:
-            return self._stiff_smw.solve(rhs)
-        return kernels.solve_saddle(self.fact_stiff, rhs, adjoint=self.adjoint)
 
     @cached_property
     def fact_identity(self):
@@ -97,6 +119,13 @@ class OperatorPair:
         mass-block solve.
         """
         return kernels.solve_saddle(self.fact_identity, X)
+
+
+def as_pair(source, adjoint=False):
+    """``source`` itself if it is an operator pair, else the pair of the system."""
+    if isinstance(source, OperatorPair):
+        return source
+    return OperatorPair(source, adjoint=adjoint)
 
 
 class ExtendedBasis:
@@ -217,10 +246,7 @@ def ekba_init(source, mode=FORWARD):
     map transposed in adjoint mode); their joint QR yields the first
     basis block and the triangular factor reused throughout.
     """
-    if isinstance(source, DescriptorSystem):
-        ops = OperatorPair(source, adjoint=(mode == ADJOINT))
-    else:
-        ops = source
+    ops = as_pair(source, adjoint=(mode == ADJOINT))
     s = ops.start
     v1 = ops.solve_mass(s)
     v2 = ops.solve_stiff(s)

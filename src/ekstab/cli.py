@@ -312,11 +312,7 @@ def _cmd_simulate(args):
     write_trajectory_csv(csv_path, traj)
     reduced_err = None
     if args.m:
-        if args.gain:
-            basis, model = reduce_closed_loop(target, args.m)
-        else:
-            basis = ekba_basis(sys_, args.m, FORWARD)
-            model = build_reduced(basis, STATE_SPACE)
+        model = build_reduced(ekba_basis(target, args.m, FORWARD), STATE_SPACE)
         red = simulate_reduced(model, u, h=args.h, t_end=args.horizon)
         write_trajectory_csv(os.path.join(args.out, "trajectory_reduced.csv"), red)
         reduced_err = float(

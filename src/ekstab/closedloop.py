@@ -1,10 +1,11 @@
-"""Stabilized-system machinery: SMW solves, closed-loop reduction, simulation.
+"""Stabilized-system machinery: closed-loop reduction and simulation.
 
 The feedback-corrected saddle problems [[W - c B K, G], [G^T, 0]] are
 solved with the factorization of the uncorrected block plus a rank-n_b
-Sherman-Morrison-Woodbury update, so the dense product B K is never
-assembled.  The same correctors drive the closed-loop Arnoldi reduction
-and the implicit-Euler time stepping of the index-2 DAE.
+Sherman-Morrison-Woodbury update (``OperatorPair.solver``), so the dense
+product B K is never assembled.  The same solves drive the closed-loop
+Arnoldi reduction and the implicit-Euler time stepping of the index-2
+DAE.
 """
 
 import csv
@@ -14,8 +15,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
-from . import kernels
-from .arnoldi import FORWARD, OperatorPair, ekba_basis
+from .arnoldi import FORWARD, OperatorPair, as_pair, ekba_basis
 from .errors import (
     DimensionMismatch,
     InvalidInitialState,
@@ -28,34 +28,17 @@ from .reduction import STATE_SPACE, build_reduced
 class ClosedLoopSystem(OperatorPair):
     """Descriptor system with a low-rank LQR feedback A -> A - B K.
 
-    The forward operator pair of the stabilized system.  The stiffness
-    SMW corrector is built eagerly, so a singular capture matrix is
-    reported here; mass factors and Euler correctors are built on use.
+    The forward operator pair of the stabilized system.  Every factor
+    and SMW corrector is built on first use, so a singular capture
+    matrix is reported by the first solve that needs it.
     """
 
     def __init__(self, sys_, gain):
         super().__init__(sys_, gain=gain)
 
     def euler_corrector(self, h):
-        """Corrector for M - h (A - B K)  =  (M - h A) + h B K."""
-        return kernels.SmwCorrector(
-            self.sys.saddle("euler", h), self.start, self.k_matrix, -h
-        )
-
-
-def smw_solve(cl, rhs, kind="stiffness", h=None):
-    """Feedback-corrected saddle solve returning the first n_v rows.
-
-    ``kind`` selects the corrected leading block: "stiffness" for
-    A - B K, "euler" (with step ``h``) for M - h (A - B K).
-    """
-    if kind == "stiffness":
-        return cl.solve_stiff(rhs)
-    if kind == "euler":
-        if h is None:
-            raise DimensionMismatch("euler kind requires the step h")
-        return cl.euler_corrector(h).solve(rhs)
-    raise DimensionMismatch(f"unknown corrected-block kind {kind!r}")
+        """Solve function for M - h (A - B K)  =  (M - h A) + h B K."""
+        return self.solver("euler", h)
 
 
 def reduce_closed_loop(cl, m, form=STATE_SPACE):
@@ -165,8 +148,8 @@ def simulate_dae(sys_or_cl, u, h, t_end, v0=None, blowup=1e100, keep_states=Fals
     multiplier block is discarded, outputs are y_k = C v_k.  The scaling
     of the constraint blocks does not affect the returned velocity rows.
     """
-    closed = isinstance(sys_or_cl, ClosedLoopSystem)
-    sys_ = sys_or_cl.sys if closed else sys_or_cl
+    pair = as_pair(sys_or_cl)
+    sys_ = pair.sys
     if h <= 0 or t_end <= 0:
         raise DimensionMismatch(f"need h > 0 and t_end > 0, got {h}, {t_end}")
     signal = _as_signal(u, sys_.n_b)
@@ -182,12 +165,7 @@ def simulate_dae(sys_or_cl, u, h, t_end, v0=None, blowup=1e100, keep_states=Fals
             np.linalg.norm(v), 1e-30
         ) * max(gnorm, 1e-30):
             raise InvalidInitialState("initial state violates G^T v0 = 0")
-    if closed:
-        stepper = sys_or_cl.euler_corrector(h)
-        solve = stepper.solve
-    else:
-        fact = sys_.saddle("euler", h)
-        solve = lambda rhs: kernels.solve_saddle(fact, rhs)
+    solve = pair.solver("euler", h)
     outputs = np.empty((n_steps + 1, sys_.n_c))
     inputs = np.empty((n_steps + 1, sys_.n_b))
     states = np.empty((n_steps + 1, sys_.n_v)) if keep_states else None

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
-from . import kernels
-from .arnoldi import FORWARD, OperatorPair, projected_input
+from .arnoldi import FORWARD, as_pair, projected_input
 from .errors import (
     DimensionMismatch,
     ModeMismatch,
@@ -99,24 +98,18 @@ def build_reduced(basis, form=STATE_SPACE, order=None):
 def eval_full_tf(system, s):
     """Exact transfer function [C 0] [[sM-A, -G], [-G^T, 0]]^-1 [B; 0].
 
-    ``system`` is a DescriptorSystem or a ClosedLoopSystem; for the latter
-    A is A - B K, solved through the shifted factorization plus an SMW
-    correction.  One complex sparse factorization of the shifted saddle
-    matrix and n_b solves; the sign of the constraint blocks only flips
-    the discarded multiplier.
+    ``system`` is a DescriptorSystem or an operator pair; for a
+    ClosedLoopSystem A is A - B K, solved through the shifted
+    factorization plus an SMW correction.  One complex sparse
+    factorization of the shifted saddle matrix and n_b solves; the sign
+    of the constraint blocks only flips the discarded multiplier.
     """
-    closed = isinstance(system, OperatorPair)
-    sys_ = system.sys if closed else system
-    b = sys_.B.astype(complex)
+    pair = as_pair(system)
     try:
-        fact = sys_.saddle("shifted", s)
-        if closed:
-            x = kernels.SmwCorrector(fact, b, system.k_matrix, -1.0).solve(b)
-        else:
-            x = kernels.solve_saddle(fact, b)
+        x = pair.solver("shifted", s)(pair.sys.B.astype(complex))
     except (SingularSaddle, SingularCapture) as exc:
         raise SingularShift(f"shift {s} hits the pencil spectrum: {exc}") from exc
-    return sys_.C @ x
+    return pair.sys.C @ x
 
 
 def eval_reduced_tf(model, s):

@@ -18,7 +18,6 @@ from ekstab.closedloop import (
     reduce_closed_loop,
     simulate_dae,
     simulate_reduced,
-    smw_solve,
 )
 from ekstab.reduction import build_reduced, eval_full_tf, frequency_sweep
 from ekstab.riccati import (
@@ -229,7 +228,7 @@ def test_08_smw_equivalence():
             sys_, FeedbackGain(left=np.eye(n_b), right=k)
         )
         rhs = rng.standard_normal((50, 3))
-        x = smw_solve(cl, rhs)
+        x = cl.solve_stiff(rhs)
         blk = np.block(
             [
                 [sys_.A.toarray() - sys_.B @ k, sys_.G.toarray()],

@@ -13,7 +13,6 @@ from ekstab.closedloop import (
     sampled_input,
     simulate_dae,
     simulate_reduced,
-    smw_solve,
     step_input,
     write_trajectory_csv,
     zero_input,
@@ -61,18 +60,18 @@ class TestSmwSolve:
         rng = np.random.default_rng(0)
         rhs = rng.standard_normal((sys60u.n_v, 2))
         plain = kernels.solve_saddle(cl.fact_stiff, rhs)
-        corrected = smw_solve(cl, rhs)
+        corrected = cl.solve_stiff(rhs)
         assert la.norm(corrected - plain, 2) <= 1e-14 * la.norm(plain, 2)
 
     def test_matches_dense_oracle(self, sys60u, cl60):
         rng = np.random.default_rng(1)
         rhs = rng.standard_normal((sys60u.n_v, 3))
-        x = smw_solve(cl60, rhs)
+        x = cl60.solve_stiff(rhs)
         ref = _dense_corrected_solve(sys60u, cl60.k_matrix, rhs)
         assert la.norm(x - ref, 2) <= 1e-10 * la.norm(ref, 2)
 
     def test_zero_rhs(self, cl60, sys60u):
-        x = smw_solve(cl60, np.zeros((sys60u.n_v, 2)))
+        x = cl60.solve_stiff(np.zeros((sys60u.n_v, 2)))
         assert np.all(x == 0.0)
 
     @pytest.mark.parametrize("n_b", [1, 2, 4])
@@ -83,28 +82,39 @@ class TestSmwSolve:
         gain = FeedbackGain(left=np.eye(n_b), right=k)
         cl = ClosedLoopSystem(sys_, gain)
         rhs = rng.standard_normal((50, 2))
-        x = smw_solve(cl, rhs)
+        x = cl.solve_stiff(rhs)
         ref = _dense_corrected_solve(sys_, k, rhs)
         assert la.norm(x - ref, 2) <= 1e-10 * la.norm(ref, 2)
 
-    def test_euler_kind_vs_dense(self, sys60u, cl60):
-        h = 0.1
+    @pytest.mark.parametrize(
+        "kind, shift",
+        [("stiffness", None), ("shifted", 0.3 + 2j), ("euler", 0.1)],
+        ids=["stiffness", "shifted", "euler"],
+    )
+    def test_euler_kind_vs_dense(self, sys60u, cl60, kind, shift):
         rng = np.random.default_rng(5)
         rhs = rng.standard_normal((sys60u.n_v, 2))
-        x = smw_solve(cl60, rhs, kind="euler", h=h)
+        x = cl60.solver(kind, shift)(rhs)
         n_v, n_p = sys60u.n_v, sys60u.n_p
+        m, a = sys60u.M.toarray(), sys60u.A.toarray()
+        if kind == "stiffness":
+            w, c = a, 1.0
+        elif kind == "shifted":
+            w, c = shift * m - a, -1.0
+        else:
+            w, c = m - shift * a, -shift
         blk = np.block(
             [
-                [
-                    sys60u.M.toarray()
-                    - h * (sys60u.A.toarray() - sys60u.B @ cl60.k_matrix),
-                    sys60u.G.toarray(),
-                ],
+                [w - c * (sys60u.B @ cl60.k_matrix), sys60u.G.toarray()],
                 [sys60u.G.toarray().T, np.zeros((n_p, n_p))],
             ]
         )
         ref = la.solve(blk, np.vstack([rhs, np.zeros((n_p, 2))]))[:n_v]
         assert la.norm(x - ref, 2) <= 1e-10 * la.norm(ref, 2)
+
+    def test_unknown_kind_rejected(self, cl60):
+        with pytest.raises(DimensionMismatch):
+            cl60.solver("mass")
 
     def test_singular_capture_detected(self, sys60u):
         sys_ = generate_synthetic(SyntheticSpec(40, 5, n_b=1, n_c=1, seed=2))
@@ -113,7 +123,7 @@ class TestSmwSolve:
         k = ainvb.T / (ainvb.T @ ainvb).item()  # makes K A^-1 B = 1 exactly
         gain = FeedbackGain(left=np.eye(1), right=k)
         with pytest.raises(SingularCapture):
-            ClosedLoopSystem(sys_, gain)
+            ClosedLoopSystem(sys_, gain).solve_stiff(sys_.B)
 
 
 class TestReduceClosedLoop:
@@ -181,6 +191,12 @@ class TestSharedFactors:
         assert sorted(kinds) == ["identity", "mass", "stiffness"]
         simulate_dae(cl, constant_input(np.ones(fresh.n_b)), h=0.05, t_end=1.0)
         assert sorted(kinds) == ["euler", "identity", "mass", "stiffness"]
+
+    def test_simulation_factors_only_the_stepping_block(self, fresh, kinds):
+        k = 0.3 * np.random.default_rng(1).standard_normal((fresh.n_b, fresh.n_v))
+        cl = ClosedLoopSystem(fresh, FeedbackGain(left=np.eye(fresh.n_b), right=k))
+        simulate_dae(cl, constant_input(np.ones(fresh.n_b)), h=0.05, t_end=1.0)
+        assert kinds == ["euler"]
 
     def test_factors_freed_with_their_last_holder(self, fresh, kinds):
         solution = ebara_solve(fresh, tol=1e-8)
