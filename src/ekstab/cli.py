@@ -143,6 +143,10 @@ def _cmd_gen(args):
         if args.grid
         else None
     )
+    if args.nv is None:
+        if grid is None:
+            raise ValidationError("config: gen needs --nv or --grid NX NY")
+        args.nv = grid.nx * grid.ny
     spec = SyntheticSpec(
         n_v=args.nv,
         n_p=args.np,
@@ -376,7 +380,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic Matrix Market bundle")
-    gen.add_argument("--nv", type=int, required=True)
+    gen.add_argument("--nv", type=int, help="velocity nodes (default NX*NY with --grid)")
     gen.add_argument("--np", type=int, required=True)
     gen.add_argument("--nb", type=int, default=2)
     gen.add_argument("--nc", type=int, default=2)

@@ -4,7 +4,7 @@ The central object is the sparse quintuple (M, A, G, B, C) of an index-2
 DAE from a discretized incompressible-flow problem: M symmetric positive
 definite, A generally nonsymmetric, G the full-column-rank discrete
 gradient.  Systems are ingested pre-assembled from Matrix Market bundles
-or generated synthetically for desk-scale testing.
+or generated synthetically on a 1-D or 2-D grid stencil.
 """
 
 import os
@@ -16,7 +16,7 @@ import scipy.io as sio
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from . import kernels
+from . import kernels, oracle
 from .errors import (
     DimensionMismatch,
     InfeasibleSpec,
@@ -266,7 +266,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Parameters of a synthetic desk-scale index-2 system."""
+    """Parameters of a synthetic stencil-local index-2 system."""
 
     n_v: int
     n_p: int
@@ -339,79 +339,75 @@ def _gradient_pattern(n_v, n_p, grid=None):
     return sp.csc_matrix((vals, (rows, cols)), shape=(n_v, n_p))
 
 
-def _random_skew(n, rng, nnz, scale=0.2):
-    rows = rng.integers(0, n, size=nnz)
-    cols = rng.integers(0, n, size=nnz)
-    vals = scale * rng.standard_normal(nnz)
-    R = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+def _stencil_skew(n_v, rng, grid=None, scale=0.2):
+    """Seeded skew term R - R^T coupling each node to its east and north neighbours.
+
+    Nodes are numbered ``ix * ny + iy``, so east is ``+ny`` and north is
+    ``+1``; a node on the east or north edge has no such neighbour, so
+    nothing wraps.  The 1-D family is the 1 x n_v grid: it couples i to
+    i + 1.
+    """
+    nx, ny = (grid.nx, grid.ny) if grid is not None else (1, n_v)
+    ix, iy = np.divmod(np.arange(n_v), ny)
+    east = np.flatnonzero(ix < nx - 1)
+    north = np.flatnonzero(iy < ny - 1)
+    rows = np.concatenate([east, north])
+    cols = np.concatenate([east + ny, north + 1])
+    vals = scale * rng.standard_normal(rows.size)
+    R = sp.csc_matrix((vals, (rows, cols)), shape=(n_v, n_v))
     return (R - R.T).tocsc()
 
 
-def _nullspace_basis(G):
-    """Orthonormal basis of null(G^T) via full QR of the dense G."""
-    n_v, n_p = G.shape
-    if n_p == 0:
-        return np.eye(n_v)
-    q, _ = la.qr(G.toarray(), mode="full")
-    return q[:, n_p:]
+def _plant_unstable(M, A, G, request):
+    """Decouple ``request.count`` constraint-free nodes as exact unstable modes.
 
-
-def _destabilize(M, A, G, request):
-    """Move ``request.count`` finite pencil eigenvalues to Re >= request.shift.
-
-    The shift is applied inside the projected subspace: the leading block
-    of an ordered real Schur form of the projected operator is replaced by
-    an upper-triangular block carrying the target real eigenvalues, and
-    the difference is lifted back as a low-rank correction to A.
+    The chosen nodes, spread evenly over those whose row of G is empty,
+    lose every coupling in M and A and get M_ii = 1 and
+    A_ii = shift * (1.25 + 0.25 j), so each e_i is an exact pencil
+    eigenvector.  The rest of the pencil is a principal part of the
+    stable one, so its symmetric part of A stays <= -0.5 and M <= 1.5:
+    every other finite eigenvalue keeps Re <= -1/3.
     """
-    k, sigma = request.count, request.shift
-    N = _nullspace_basis(G)
-    d = N.shape[1]
-    Mn = N.T @ (M @ N)
-    An = N.T @ (A @ N)
-    F = la.solve(Mn, An)
-    eigs = la.eigvals(F)
-    # Order the k largest-real-part eigenvalues first; a conjugate pair
-    # straddling the cut enlarges the replaced block by one.
-    threshold = np.sort(eigs.real)[::-1][k - 1]
-    S, Q, sdim = la.schur(
-        F, output="real", sort=lambda re, im: re >= threshold - 1e-9
-    )
-    t = sdim
-    if t < k:
+    k = request.count
+    free = np.flatnonzero(np.diff(G.tocsr().indptr) == 0)
+    if free.size < k:
         raise InfeasibleSpec(
-            f"Schur reordering selected {t} eigenvalues, expected >= {k}"
+            f"cannot place {k} unstable modes: only {free.size} velocity nodes "
+            f"are free of the constraint (have an empty row of G)"
         )
-    S_new = S.copy()
-    block = np.triu(S_new[:t, :t])
-    targets = sigma * (1.25 + 0.25 * np.arange(k))
-    stable_fill = [-max(0.5, abs(S_new[i, i])) for i in range(k, t)]
-    np.fill_diagonal(block, np.concatenate([targets, stable_fill]))
-    S_new[:t, :t] = block
-    dF = Q @ (S_new - S) @ Q.T
-    # Lift: N^T dA N = Mn dF, with dA supported on the constraint manifold.
-    dA = (M @ N) @ dF @ N.T
-    return (A + sp.csc_matrix(dA)).tocsc()
+    nodes = free[((np.arange(k) + 0.5) * free.size / k).astype(int)]
+    keep = np.ones(M.shape[0])
+    keep[nodes] = 0.0
+    unit, targets = np.zeros_like(keep), np.zeros_like(keep)
+    unit[nodes] = 1.0
+    targets[nodes] = request.shift * (1.25 + 0.25 * np.arange(k))
+    D = sp.diags(keep)
+    M = (D @ M @ D + sp.diags(unit)).tocsc()
+    return M, (D @ A @ D + sp.diags(targets)).tocsc()
 
 
 def generate_synthetic(spec):
     """Build a deterministic synthetic index-2 system from a SyntheticSpec.
 
-    The system matrix is a scaled Laplacian plus reaction term (symmetric
-    negative definite part) and skew convection/perturbation terms, so the
-    stable variant has all finite pencil eigenvalues strictly in the left
-    half-plane by construction.  Instability, when requested, is planted
-    spectrally and verified for n_v <= 500.
+    Every coupling stays inside the five-point stencil (the 1-D family:
+    the three-point one), so saddle factors fill like a grid problem.
+    A = -nu lap - 0.5 I + conv + (R - R^T) with a seeded east/north skew
+    term, M the neighbour-smoothed mass matrix, G the structural
+    gradient pattern.  With nu >= 0 the symmetric part of A is <= -0.5
+    and M <= 1.5, so every finite pencil eigenvalue has Re <= -1/3.
+    Instability, when requested, is planted exactly on ``count``
+    constraint-free nodes (see ``_plant_unstable``), so ``count`` is at
+    most the number of empty rows of G; the planted spectrum is checked
+    against the dense pencil for n_v <= VALIDATE_DENSE_CAP.
     """
     if spec.n_v <= 0 or spec.n_p < 0 or spec.n_b <= 0 or spec.n_c <= 0:
         raise InfeasibleSpec(f"nonpositive dimensions in {spec}")
     if not spec.n_p < spec.n_v:
         raise InfeasibleSpec(f"n_p = {spec.n_p} must be < n_v = {spec.n_v}")
     if spec.unstable is not None:
-        if spec.unstable.count <= 0 or spec.unstable.count > spec.n_v - spec.n_p:
+        if spec.unstable.count <= 0:
             raise InfeasibleSpec(
-                f"cannot place {spec.unstable.count} unstable modes in a "
-                f"{spec.n_v - spec.n_p}-dimensional finite spectrum"
+                f"unstable count must be positive, got {spec.unstable.count}"
             )
         if spec.unstable.shift <= 0.0:
             raise InfeasibleSpec("unstable shift must be positive")
@@ -422,6 +418,10 @@ def generate_synthetic(spec):
             raise InfeasibleSpec(
                 f"grid {spec.grid.nx} x {spec.grid.ny} does not match n_v = {n_v}"
             )
+        if spec.grid.viscosity < 0.0:
+            raise InfeasibleSpec(
+                f"viscosity must be nonnegative, got {spec.grid.viscosity}"
+            )
         lap, M, conv = _grid_operators(spec.grid)
         nu = spec.grid.viscosity
     else:
@@ -431,26 +431,15 @@ def generate_synthetic(spec):
         -nu * lap
         - 0.5 * sp.eye(n_v, format="csc")
         + conv
-        + _random_skew(n_v, rng, nnz=2 * n_v)
+        + _stencil_skew(n_v, rng, spec.grid)
     ).tocsc()
     G = _gradient_pattern(n_v, spec.n_p, spec.grid)
-    if spec.n_p:
-        G = G + sp.csc_matrix(
-            (
-                0.2 * rng.standard_normal(2 * spec.n_p),
-                (
-                    rng.integers(0, n_v, size=2 * spec.n_p),
-                    rng.integers(0, spec.n_p, size=2 * spec.n_p),
-                ),
-            ),
-            shape=(n_v, spec.n_p),
-        )
     B = rng.standard_normal((n_v, spec.n_b))
     B /= la.norm(B, axis=0)
     C = rng.standard_normal((spec.n_c, n_v))
     C /= la.norm(C, axis=1)[:, None]
     if spec.unstable is not None:
-        A = _destabilize(M, A, G, spec.unstable)
+        M, A = _plant_unstable(M, A, G, spec.unstable)
     sys_ = DescriptorSystem(M=M, A=A, G=G, B=B, C=C).validate()
     if spec.unstable is not None and n_v <= VALIDATE_DENSE_CAP:
         _verify_unstable(sys_, spec.unstable)
@@ -458,19 +447,10 @@ def generate_synthetic(spec):
 
 
 def _verify_unstable(sys_, request):
-    pencil_a = np.block(
-        [
-            [sys_.A.toarray(), sys_.G.toarray()],
-            [sys_.G.toarray().T, np.zeros((sys_.n_p, sys_.n_p))],
-        ]
-    )
-    pencil_m = np.zeros_like(pencil_a)
-    pencil_m[: sys_.n_v, : sys_.n_v] = sys_.M.toarray()
-    values, finite = kernels.dense_generalized_eigen(pencil_a, pencil_m)
-    fin = values[finite]
+    fin = oracle.pencil_finite_spectrum(sys_, cap=VALIDATE_DENSE_CAP)
     n_above = int(np.sum(fin.real >= request.shift * (1.0 - 1e-9)))
-    if finite.sum() != sys_.n_v - sys_.n_p or n_above != request.count:
+    if n_above != request.count:
         raise InfeasibleSpec(
             f"spectral shift verification failed: {n_above} of "
-            f"{int(finite.sum())} finite eigenvalues above {request.shift}"
+            f"{fin.size} finite eigenvalues above {request.shift}"
         )

@@ -10,7 +10,7 @@ import pytest
 import scipy.io as sio
 
 import ekstab
-from ekstab.cli import main
+from ekstab.cli import build_parser, main
 from ekstab.sysmodel import load_bundle
 
 
@@ -43,6 +43,39 @@ class TestGen:
         assert payload["command"] == "gen"
         assert payload["config"]["seed"] == 7
         assert "version" in payload
+
+    def test_nv_derived_from_grid(self, tmp_path):
+        assert main(
+            ["gen", "--grid", "8", "6", "--np", "6", "--unstable", "1",
+             "--out", str(tmp_path)]
+        ) == 0
+        assert load_bundle(tmp_path / "system.manifest").n_v == 48
+        payload = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert payload["config"]["nv"] == 48
+
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["--grid", "8", "8", "--nv", "60", "--np", "6"], "InfeasibleSpec"),
+            (["--grid", "8", "8", "--nv", "64", "--np", "6", "--viscosity", "-1"],
+             "InfeasibleSpec"),
+            (["--np", "6"], "ValidationError"),
+        ],
+    )
+    def test_bad_spec_is_single_line_error(self, argv, kind, tmp_path, capsys):
+        assert main(["gen", *argv, "--out", str(tmp_path / "g")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {kind}:")
+        assert not (tmp_path / "g").exists()
+
+    def test_gen_flags(self):
+        gen = build_parser().subcommands.choices["gen"]
+        flags = {a.option_strings[0] for a in gen._actions if a.dest != "help"}
+        assert flags == {
+            "--nv", "--np", "--nb", "--nc", "--seed", "--unstable", "--shift",
+            "--grid", "--viscosity", "--out",
+        }
 
 
 class TestRiccati:

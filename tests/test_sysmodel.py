@@ -157,6 +157,9 @@ class TestGenerateSynthetic:
             SyntheticSpec(10, 2, seed=0, unstable=Unstable(1, -0.5)),
             SyntheticSpec(0, 0, seed=0),
             SyntheticSpec(16, 2, seed=0, grid=GridSpec(5, 5)),
+            # Pressure anchors on every second node leave no empty row of G.
+            SyntheticSpec(10, 5, seed=0, unstable=Unstable(1, 0.5)),
+            SyntheticSpec(64, 6, seed=0, grid=GridSpec(8, 8, viscosity=-1.0)),
         ],
     )
     def test_infeasible_specs(self, spec):
@@ -172,3 +175,49 @@ class TestGenerateSynthetic:
         s = generate_synthetic(SyntheticSpec(10, 7, seed=2))
         s.validate()
         assert oracle.pencil_finite_spectrum(s).size == 3
+
+
+def _grid_steps(spec, mat):
+    """Grid distance |dx| + |dy| of every stored nonzero of ``mat``."""
+    ny = spec.grid.ny if spec.grid is not None else spec.n_v
+    coo = mat.tocoo()
+    rx, ry = np.divmod(coo.row, ny)
+    cx, cy = np.divmod(coo.col, ny)
+    return np.abs(rx - cx) + np.abs(ry - cy)
+
+
+class TestStencilGenerator:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SyntheticSpec(60, 8, seed=7, unstable=Unstable(2, 0.5)),
+            SyntheticSpec(64, 6, seed=1, grid=GridSpec(8, 8, viscosity=0.5)),
+            SyntheticSpec(60, 6, seed=2, grid=GridSpec(6, 10), unstable=Unstable(2, 0.3)),
+            SyntheticSpec(60, 6, seed=2, grid=GridSpec(10, 6)),
+        ],
+    )
+    def test_couplings_stay_in_stencil(self, spec):
+        s = generate_synthetic(spec)
+        for mat in (s.A, s.M):
+            assert _grid_steps(spec, mat).max() <= 1
+
+    def test_stiffness_saddle_fills_like_a_grid(self):
+        s = generate_synthetic(
+            SyntheticSpec(3600, 225, n_b=2, n_c=2, seed=3, grid=GridSpec(60, 60))
+        )
+        lu = s.saddle("stiffness")._lu
+        nnz_saddle = s.A.nnz + 2 * s.G.nnz
+        assert lu.L.nnz + lu.U.nnz - lu.shape[0] <= 10 * nnz_saddle
+
+    def test_planted_modes_above_the_old_dense_cap(self):
+        s = generate_synthetic(
+            SyntheticSpec(
+                576, 36, n_b=2, n_c=2, seed=5, grid=GridSpec(24, 24),
+                unstable=Unstable(3, 0.5),
+            )
+        )
+        spectrum = oracle.pencil_finite_spectrum(s, cap=576)
+        above = spectrum[spectrum.real >= 0.5]
+        assert above.size == 3
+        assert np.allclose(np.sort(above.real), [0.625, 0.75, 0.875], atol=1e-10)
+        assert spectrum[spectrum.real < 0.5].real.max() <= -1.0 / 3.0 + 1e-10
