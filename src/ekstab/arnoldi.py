@@ -128,6 +128,11 @@ def as_pair(source, adjoint=False):
     return OperatorPair(source, adjoint=adjoint)
 
 
+def _readonly(view):
+    view.flags.writeable = False
+    return view
+
+
 class ExtendedBasis:
     """Orthonormal blocks plus Hessenberg data from the extended Arnoldi process.
 
@@ -138,21 +143,26 @@ class ExtendedBasis:
     blocks.  ``append`` doubles the capacity when the array is full;
     ``reserve`` sets it ahead, and pages of the array that no block has
     reached stay untouched.  ``lam`` is the 2b x 2b triangular factor of
-    the initial QR.  The projected-operator columns are stored per step
-    and assembled on demand into the square or rectangular block
-    Hessenberg matrix.
+    the initial QR.  The projected-operator Hessenberg matrix is one
+    zero-initialized array grown with the basis, one block row taller than
+    wide; step j writes block column j, and ``Tm``, ``Tbar`` and
+    ``t_next`` are read-only views of it.  ``mode`` is the pair's direction.
     """
 
-    def __init__(self, ops, mode, first, lam):
+    def __init__(self, ops, first, lam):
         self.ops = ops
-        self.mode = mode
         self.lam = lam
         self.width = first.shape[1]
         self.m = 0
+        self.steps = 0
         self._store = np.empty((first.shape[0], self.width), order="F")
-        self.tcols = []
+        self._hess = np.zeros((2 * self.width, self.width))
         self.breakdown_at = None
         self.append(first)
+
+    @property
+    def mode(self):
+        return ADJOINT if self.ops.adjoint else FORWARD
 
     @property
     def lam11(self):
@@ -168,6 +178,9 @@ class ExtendedBasis:
             used = self.m * self.width
             store[:, :used] = self._store[:, :used]
             self._store = store
+            hess = np.zeros(((blocks + 1) * self.width, blocks * self.width))
+            hess[: cols + self.width, :cols] = self._hess
+            self._hess = hess
 
     def append(self, q):
         """Store the next orthonormal block, doubling the capacity when full."""
@@ -177,64 +190,49 @@ class ExtendedBasis:
         self._store[:, start : start + self.width] = q
         self.m += 1
 
-    def _view(self, start, stop):
-        view = self._store[:, start:stop]
-        view.flags.writeable = False
-        return view
+    def record(self, images):
+        """Store V^T images as the Hessenberg block column of the next step."""
+        k, w = self.steps * self.width, self.width
+        self._hess[: self.m * w, k : k + w] = self.V().T @ images
+        self.steps += 1
 
     def block(self, j):
         """The j-th orthonormal block (0-based)."""
         if not 0 <= j < self.m:
             raise DimensionMismatch(f"basis holds {self.m} blocks, requested block {j}")
-        return self._view(j * self.width, (j + 1) * self.width)
+        return _readonly(self._store[:, j * self.width : (j + 1) * self.width])
 
     def V(self, m=None):
         """The orthonormal matrix formed by the first m blocks."""
         m = self.m if m is None else m
         if not 1 <= m <= self.m:
             raise DimensionMismatch(f"basis holds {self.m} blocks, requested {m}")
-        return self._view(0, m * self.width)
+        return _readonly(self._store[:, : m * self.width])
 
-    def steps_completed(self):
-        return len(self.tcols)
+    def _columns(self, m, top):
+        """Column count 2mb of the order-m Hessenberg views; m defaults to top."""
+        m = top if m is None else m
+        if not 1 <= m <= top:
+            raise DimensionMismatch(
+                f"Hessenberg order {m} outside 1..{top} "
+                f"({self.steps} steps completed, {self.m} blocks)"
+            )
+        return m * self.width
+
+    def Tm(self, m=None):
+        """Square leading block of the projected-operator Hessenberg, 2mb x 2mb."""
+        k = self._columns(m, self.steps)
+        return _readonly(self._hess[:k, :k])
 
     def Tbar(self, m=None):
         """Rectangular projected-operator Hessenberg, 2(m+1)b x 2mb."""
-        m = min(self.steps_completed(), self.m - 1) if m is None else m
-        if m > self.steps_completed() or m + 1 > self.m:
-            raise DimensionMismatch(
-                f"Tbar({m}) needs {m} completed steps and {m + 1} blocks; "
-                f"have {self.steps_completed()} and {self.m}"
-            )
-        w = self.width
-        tbar = np.zeros(((m + 1) * w, m * w))
-        for j in range(m):
-            col = self.tcols[j]
-            tbar[: col.shape[0], j * w : (j + 1) * w] = col[:, :]
-        return tbar
-
-    def Tm(self, m=None):
-        """Square leading block of the projected-operator Hessenberg."""
-        m = self.steps_completed() if m is None else m
-        if m > self.steps_completed():
-            raise DimensionMismatch(
-                f"Tm({m}) needs {m} completed steps, have {self.steps_completed()}"
-            )
-        w = self.width
-        t = np.zeros((m * w, m * w))
-        for j in range(m):
-            col = self.tcols[j]
-            rows = min(col.shape[0], m * w)
-            t[:rows, j * w : (j + 1) * w] = col[:rows, :]
-        return t
+        k = self._columns(m, min(self.steps, self.m - 1))
+        return _readonly(self._hess[: k + self.width, :k])
 
     def t_next(self, m):
         """Subdiagonal continuation block T_{m+1,m}; zero after breakdown."""
-        w = self.width
-        col = self.tcols[m - 1]
-        if col.shape[0] < (m + 1) * w:
-            return np.zeros((w, w))
-        return col[m * w : (m + 1) * w, :]
+        k = self._columns(m, self.steps)
+        return _readonly(self._hess[k : k + self.width, k - self.width : k])
 
 
 def ekba_init(source, mode=FORWARD):
@@ -244,15 +242,18 @@ def ekba_init(source, mode=FORWARD):
     start blocks solve [[M, G], [G^T, 0]] [x; *] = [S; 0] and
     [[A, G], [G^T, 0]] [x; *] = [S; 0] with S the input map (the output
     map transposed in adjoint mode); their joint QR yields the first
-    basis block and the triangular factor reused throughout.
+    basis block and the triangular factor reused throughout.  A prebuilt
+    pair must already run in direction ``mode``.
     """
     ops = as_pair(source, adjoint=(mode == ADJOINT))
+    if ops.adjoint != (mode == ADJOINT):
+        raise ModeMismatch(f"mode {mode!r} differs from the direction of the pair")
     s = ops.start
     v1 = ops.solve_mass(s)
     v2 = ops.solve_stiff(s)
     first = np.column_stack([v1, v2])
     qr = kernels.thin_qr(first)
-    return ExtendedBasis(ops=ops, mode=mode, first=qr.q, lam=qr.r)
+    return ExtendedBasis(ops=ops, first=qr.q, lam=qr.r)
 
 
 def ekba_step(basis):
@@ -285,22 +286,22 @@ def ekba_step(basis):
     try:
         qr = kernels.thin_qr(w, rank_scale=scale)
     except RankDeficient as exc:
-        basis.tcols.append(basis.V(j).T @ images)
+        basis.record(images)
         basis.breakdown_at = j
         raise Breakdown(
             f"rank-deficient candidate block at step {j}", iteration=j
         ) from exc
     basis.append(qr.q)
-    basis.tcols.append(basis.V(j + 1).T @ images)
+    basis.record(images)
     return basis
 
 
-def ekba_basis(source, m, mode=FORWARD, allow_breakdown=True):
+def ekba_basis(source, m, mode=FORWARD):
     """Initialize and run ``m`` Arnoldi steps, tolerating exhaustion.
 
     Returns a basis with up to m+1 blocks.  When the subspace exhausts
     before the requested order, the basis built so far is returned with
-    ``breakdown_at`` set (or Breakdown propagates if not allowed).
+    ``breakdown_at`` set.
     """
     basis = ekba_init(source, mode)
     basis.reserve(m + 1)
@@ -308,8 +309,6 @@ def ekba_basis(source, m, mode=FORWARD, allow_breakdown=True):
         try:
             ekba_step(basis)
         except Breakdown:
-            if not allow_breakdown:
-                raise
             break
     return basis
 

@@ -101,7 +101,6 @@ def _check_knobs(args):
         ("dtol", lambda v: v > 0.0, "dtol must be positive"),
         ("mmax", lambda v: v >= 1, "mmax must be >= 1"),
         ("m", lambda v: v >= 0, "m must be nonnegative"),
-        ("check_every", lambda v: v >= 1, "check-every must be >= 1"),
         ("points", lambda v: v >= 2, "points must be >= 2"),
         ("h", lambda v: v > 0.0, "h must be positive"),
         ("horizon", lambda v: v > 0.0, "horizon must be positive"),
@@ -225,13 +224,7 @@ def _cmd_bode(args):
 
 
 def _solve_riccati(args, sys_):
-    solution = ebara_solve(
-        sys_,
-        tol=args.tol,
-        dtol=args.dtol,
-        m_max=args.mmax,
-        check_every=args.check_every,
-    )
+    solution = ebara_solve(sys_, tol=args.tol, dtol=args.dtol, m_max=args.mmax)
     gain = feedback_gain(solution.z, sys_)
     return solution, gain
 
@@ -420,7 +413,6 @@ def build_parser():
     ric.add_argument("--tol", type=float, default=1e-8)
     ric.add_argument("--dtol", type=float, default=1e-12)
     ric.add_argument("--mmax", type=int, default=100)
-    ric.add_argument("--check-every", type=int, default=1, dest="check_every")
     ric.add_argument("--out", required=True)
     ric.set_defaults(func=_cmd_riccati)
 
@@ -432,7 +424,6 @@ def build_parser():
     stab.add_argument("--tol", type=float, default=1e-8)
     stab.add_argument("--dtol", type=float, default=1e-12)
     stab.add_argument("--mmax", type=int, default=100)
-    stab.add_argument("--check-every", type=int, default=1, dest="check_every")
     stab.add_argument("--m", type=int, default=20)
     stab.add_argument("--wlo", type=float, default=1e-5)
     stab.add_argument("--whi", type=float, default=1e5)

@@ -16,6 +16,8 @@ import scipy.linalg as la
 from . import kernels
 from .errors import Breakdown, EkstabError, ParseError, SizeCapExceeded
 
+# Desk-scale limit of every dense computation: the oracle default, and the
+# size up to which systems get dense SPD / spectrum validation.
 SIZE_CAP_DEFAULT = 500
 SIZE_CAP_ENV = "EKSTAB_ORACLE_CAP"
 

@@ -68,7 +68,7 @@ def build_reduced(basis, form=STATE_SPACE, order=None):
         raise ModeMismatch(
             f"reduction requires a forward-pair basis, got {basis.mode!r}"
         )
-    avail = basis.steps_completed()
+    avail = basis.steps
     order = avail if order is None else order
     if order < 1 or order > avail:
         raise DimensionMismatch(

@@ -128,7 +128,7 @@ class RiccatiSolution:
 
     ``y`` solves the reduced equation at the final order, ``z`` is the
     lifted low-rank factor (X ~ Z Z^T), and ``residual_history`` records
-    (iteration, relative residual) at every checked order.
+    (iteration, relative residual) at every order with a reduced solution.
     """
 
     y: np.ndarray
@@ -188,24 +188,19 @@ def feedback_gain(z, sys_):
     return FeedbackGain(left=sys_.B.T @ z, right=(sys_.M @ z).T)
 
 
-def ebara_solve(
-    sys_,
-    tol=1e-8,
-    dtol=1e-12,
-    m_max=50,
-    check_every=1,
-    keep_iterates=False,
-):
+def ebara_solve(sys_, tol=1e-8, dtol=1e-12, m_max=50, keep_iterates=False):
     """Extended block Arnoldi iteration for the projected Riccati equation.
 
-    Grows the adjoint-mode basis one block per iteration; at the checked
-    orders solves the low-dimensional Riccati equation
+    Grows the adjoint-mode basis one block per iteration; at every order
+    solves the low-dimensional Riccati equation
     T Y + Y T^T - Y (V^T B)(V^T B)^T Y + (E1 L11)(E1 L11)^T = 0
     and stops when ||T_{m+1,m} E_m^T Y|| / ||L11 L11^T|| < tol.  The
     denominator equals the norm of the constant term of the full
     equation by the orthonormality of the first basis block, so nothing
     large is ever assembled.  Subspace exhaustion makes the continuation
-    block vanish, which counts as convergence at that order.
+    block vanish, which counts as convergence at that order.  A reduced
+    equation without a stabilizing solution only enlarges the space,
+    unless no further growth is possible, where it is raised.
 
     Returns a RiccatiSolution; ``status`` is "max_iterations" when the
     tolerance was not met (partial solution returned, not raised).
@@ -230,62 +225,36 @@ def ebara_solve(
     denominator = la.norm(lam11 @ lam11.T, 2)
     history = []
     iterates = []
-    y = None
-    care_failure = None
-    m = 0
-    exhausted = False
     for m in range(1, m_max + 1):
         try:
             ekba_step(basis)
         except Breakdown:
-            exhausted = True
-        check = (m % check_every == 0) or exhausted or m == m_max
-        if not check:
-            continue
-        t = basis.Tm(m)
-        bt = basis.V(m).T @ sys_.B
-        ct = projected_input(basis, m)
+            pass
+        last = basis.breakdown_at is not None or m == m_max
         try:
-            y = care_dense(t, bt, ct)
-            care_failure = None
-        except NoStabilizingSolution as exc:
-            # The projected pair can fail stabilizability at small orders;
-            # keep enlarging the space unless no further growth is possible.
-            care_failure = exc
-            if exhausted or m == m_max:
+            y = care_dense(
+                basis.Tm(m), basis.V(m).T @ sys_.B, projected_input(basis, m)
+            )
+        except NoStabilizingSolution:
+            if last:
                 raise
             continue
-        residual = la.norm(basis.t_next(m) @ y[-basis.width :, :], 2)
-        rel = residual / denominator
+        rel = la.norm(basis.t_next(m) @ y[-basis.width :, :], 2) / denominator
         history.append((m, rel))
         if keep_iterates:
             iterates.append((m, y.copy()))
-        if rel < tol:
-            z = truncate_lowrank(y, basis, dtol, order=m)
-            return RiccatiSolution(
-                y=y,
-                z=z,
-                rank=z.shape[1],
-                residual_history=history,
-                iterations=m,
-                converged=True,
-                status=CONVERGED,
-                basis=basis,
-                iterates=iterates,
-            )
-        if exhausted:
+        if rel < tol or last:
             break
-    if y is None:
-        raise care_failure or NoStabilizingSolution("no reduced solve succeeded")
     z = truncate_lowrank(y, basis, dtol, order=m)
+    converged = rel < tol
     return RiccatiSolution(
         y=y,
         z=z,
         rank=z.shape[1],
         residual_history=history,
         iterations=m,
-        converged=False,
-        status=MAX_ITERATIONS,
+        converged=converged,
+        status=CONVERGED if converged else MAX_ITERATIONS,
         basis=basis,
         iterates=iterates,
     )

@@ -25,8 +25,6 @@ from .errors import (
     ValidationError,
 )
 
-# Dense validation (SPD / rank checks) is only attempted up to this size.
-VALIDATE_DENSE_CAP = 500
 SYM_TOL = 1e-12
 
 MANIFEST_NAME = "system.manifest"
@@ -99,7 +97,7 @@ class DescriptorSystem:
     def dims(self):
         return (self.n_v, self.n_p, self.n_b, self.n_c)
 
-    def validate(self, dense_cap=VALIDATE_DENSE_CAP):
+    def validate(self, dense_cap=oracle.SIZE_CAP_DEFAULT):
         """Check the structural invariants, naming the violated one on failure."""
         n_v = self.M.shape[0]
         if self.M.shape != (n_v, n_v) or self.A.shape != (n_v, n_v):
@@ -310,6 +308,8 @@ def _gradient_pattern(n_v, n_p, grid=None):
 
     Each column has a dominant anchor entry on a row no other column
     anchors, so the anchor-row submatrix is triangular with diagonal 2.
+    On a grid the anchors are the even-even nodes, and the n_p columns
+    take picks spread evenly over that whole lattice.
     """
     rows, cols, vals = [], [], []
     if grid is not None:
@@ -322,8 +322,9 @@ def _gradient_pattern(n_v, n_p, grid=None):
             raise InfeasibleSpec(
                 f"grid {nx} x {ny} admits at most {len(anchors)} pressure nodes"
             )
+        picks = ((np.arange(n_p) + 0.5) * len(anchors) / n_p).astype(int)
         for p in range(n_p):
-            a = anchors[p]
+            a = anchors[picks[p]]
             rows.append(a), cols.append(p), vals.append(2.0)
             if a + 1 < n_v:
                 rows.append(a + 1), cols.append(p), vals.append(-1.0)
@@ -398,7 +399,7 @@ def generate_synthetic(spec):
     Instability, when requested, is planted exactly on ``count``
     constraint-free nodes (see ``_plant_unstable``), so ``count`` is at
     most the number of empty rows of G; the planted spectrum is checked
-    against the dense pencil for n_v <= VALIDATE_DENSE_CAP.
+    against the dense pencil for n_v <= oracle.SIZE_CAP_DEFAULT.
     """
     if spec.n_v <= 0 or spec.n_p < 0 or spec.n_b <= 0 or spec.n_c <= 0:
         raise InfeasibleSpec(f"nonpositive dimensions in {spec}")
@@ -441,13 +442,13 @@ def generate_synthetic(spec):
     if spec.unstable is not None:
         M, A = _plant_unstable(M, A, G, spec.unstable)
     sys_ = DescriptorSystem(M=M, A=A, G=G, B=B, C=C).validate()
-    if spec.unstable is not None and n_v <= VALIDATE_DENSE_CAP:
+    if spec.unstable is not None and n_v <= oracle.SIZE_CAP_DEFAULT:
         _verify_unstable(sys_, spec.unstable)
     return sys_
 
 
 def _verify_unstable(sys_, request):
-    fin = oracle.pencil_finite_spectrum(sys_, cap=VALIDATE_DENSE_CAP)
+    fin = oracle.pencil_finite_spectrum(sys_, cap=oracle.SIZE_CAP_DEFAULT)
     n_above = int(np.sum(fin.real >= request.shift * (1.0 - 1e-9)))
     if n_above != request.count:
         raise InfeasibleSpec(

@@ -7,12 +7,13 @@ from ekstab import kernels, oracle
 from ekstab.arnoldi import (
     ADJOINT,
     FORWARD,
+    OperatorPair,
     ekba_basis,
     ekba_init,
     ekba_step,
     projected_input,
 )
-from ekstab.errors import Breakdown, RankDeficient
+from ekstab.errors import Breakdown, DimensionMismatch, ModeMismatch, RankDeficient
 from ekstab.sysmodel import (
     DescriptorSystem,
     GridSpec,
@@ -58,6 +59,11 @@ class TestInit:
     def test_adjoint_uses_output_map(self, sys60):
         basis = ekba_init(sys60, ADJOINT)
         assert basis.width == 2 * sys60.n_c
+
+    @pytest.mark.parametrize("adjoint, mode", [(False, ADJOINT), (True, FORWARD)])
+    def test_prebuilt_pair_of_the_other_direction(self, sys60, adjoint, mode):
+        with pytest.raises(ModeMismatch):
+            ekba_init(OperatorPair(sys60, adjoint=adjoint), mode)
 
 
 class TestStep:
@@ -210,6 +216,20 @@ class TestContiguousBasis:
         assert np.shares_memory(basis.V(2), basis.V())
         assert np.shares_memory(basis.block(3), basis.V())
         assert not basis.V().flags.writeable
+
+    def test_hessenberg_views_share_one_array(self, sys60):
+        m = 3
+        basis = ekba_basis(sys60, m, FORWARD)
+        tm, tbar, t_next = basis.Tm(m), basis.Tbar(m), basis.t_next(m)
+        assert np.shares_memory(tm, tbar) and np.shares_memory(tbar, t_next)
+        assert not any(v.flags.writeable for v in (tm, tbar, t_next))
+        assert np.array_equal(tm, tbar[: m * basis.width])
+
+    @pytest.mark.parametrize("order", [0, 4, -1])
+    def test_t_next_outside_the_completed_steps(self, sys60, order):
+        basis = ekba_basis(sys60, 3, FORWARD)
+        with pytest.raises(DimensionMismatch):
+            basis.t_next(order)
 
     def test_reserve_is_capped_at_a_full_basis(self, sys60):
         basis = ekba_basis(sys60, 10**12, FORWARD)

@@ -146,12 +146,6 @@ class TestEbaraSolve:
         assert sol.iterations == 3
         assert sol.z.size > 0
 
-    def test_check_cadence(self, sys60u):
-        sol = ebara_solve(sys60u, tol=1e-8, check_every=4)
-        checked = [m for m, _ in sol.residual_history]
-        assert all(m % 4 == 0 or m == sol.iterations for m in checked)
-        assert sol.converged
-
     def test_residual_csv(self, sys60u, tmp_path):
         sol = ebara_solve(sys60u, tol=1e-8)
         path = tmp_path / "residuals.csv"

@@ -221,3 +221,8 @@ class TestStencilGenerator:
         assert above.size == 3
         assert np.allclose(np.sort(above.real), [0.625, 0.75, 0.875], atol=1e-10)
         assert spectrum[spectrum.real < 0.5].real.max() <= -1.0 / 3.0 + 1e-10
+
+    def test_gradient_anchors_cover_the_whole_grid(self):
+        spec = SyntheticSpec(1600, 100, seed=3, grid=GridSpec(40, 40))
+        rows = generate_synthetic(spec).G.tocoo().row
+        assert np.max(rows % spec.grid.ny) >= 30
