@@ -245,6 +245,8 @@ def ekba_init(source, mode=FORWARD):
     basis block and the triangular factor reused throughout.  A prebuilt
     pair must already run in direction ``mode``.
     """
+    if mode not in (FORWARD, ADJOINT):
+        raise ModeMismatch(f"unknown Arnoldi mode {mode!r}")
     ops = as_pair(source, adjoint=(mode == ADJOINT))
     if ops.adjoint != (mode == ADJOINT):
         raise ModeMismatch(f"mode {mode!r} differs from the direction of the pair")

@@ -102,6 +102,7 @@ def _check_knobs(args):
         ("mmax", lambda v: v >= 1, "mmax must be >= 1"),
         ("m", lambda v: v >= 0, "m must be nonnegative"),
         ("points", lambda v: v >= 2, "points must be >= 2"),
+        ("wlo", lambda v: v > 0.0, "wlo must be positive"),
         ("h", lambda v: v > 0.0, "h must be positive"),
         ("horizon", lambda v: v > 0.0, "horizon must be positive"),
     )
@@ -216,6 +217,7 @@ def _cmd_bode(args):
             "order": model.order,
             "hinf_sample": sweep.hinf_sample,
             "skipped_points": sweep.skipped,
+            "sweep_workers": sweep.workers,
             "wall_time_s": time.perf_counter() - t0,
         },
     )
@@ -280,6 +282,7 @@ def _cmd_stabilize(args):
         "converged": solution.converged,
         "rank": solution.rank,
         "reduced_order": model.order,
+        "sweep_workers": sweep.workers,
         "wall_time_s": time.perf_counter() - t0,
     }
     if sys_.n_v <= oracle.size_cap():

@@ -9,6 +9,8 @@ per shift; the dense projector is never formed.
 """
 
 import csv
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,11 +141,31 @@ class FrequencyResponse:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """Exact and reduced responses on one grid, and the threads that ran it."""
+
     full: FrequencyResponse
     reduced: FrequencyResponse
     errors: np.ndarray
     hinf_sample: float
+    workers: int
     skipped: list = field(default_factory=list)
+
+
+def _process_cpus():
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _responses(system, model, w):
+    """(F(jw), F_m(jw)), or None where jw hits either spectrum."""
+    s = 1j * w
+    try:
+        return eval_full_tf(system, s), eval_reduced_tf(model, s)
+    except SingularShift:
+        return None
 
 
 def frequency_sweep(system, model, w_lo=1e-5, w_hi=1e5, n_points=200):
@@ -154,26 +176,36 @@ def frequency_sweep(system, model, w_lo=1e-5, w_hi=1e5, n_points=200):
     is recorded in ``skipped`` and the sweep continues.  ``hinf_sample``
     is the grid maximum of the error, a lower bound on the true Hinf
     error norm.
+
+    The points are evaluated by a pool of one thread per CPU of the
+    process's affinity mask (at most one per point; ``workers`` records
+    the count).  SuperLU releases the interpreter lock, so the shifted
+    factorizations run in parallel; peak memory grows by one shifted
+    factorization per extra worker.  Each point is computed alone and
+    collected in grid order, so the result does not depend on the number
+    of workers, bit for bit.
     """
+    if not w_lo > 0:
+        raise DimensionMismatch(f"w_lo must be positive, got {w_lo}")
     if not w_lo < w_hi:
         raise DimensionMismatch(f"need w_lo < w_hi, got {w_lo}, {w_hi}")
     omegas = np.logspace(np.log10(w_lo), np.log10(w_hi), n_points)
+    workers = max(1, min(_process_cpus(), n_points))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        points = list(pool.map(lambda w: _responses(system, model, w), omegas))
     shape = (model.n_outputs, model.n_inputs)
     full_vals, red_vals = [], []
     full_norms = np.full(n_points, np.nan)
     red_norms = np.full(n_points, np.nan)
     errors = np.full(n_points, np.nan)
     skipped = []
-    for i, w in enumerate(omegas):
-        s = 1j * w
-        try:
-            f = eval_full_tf(system, s)
-            g = eval_reduced_tf(model, s)
-        except SingularShift:
+    for i, point in enumerate(points):
+        if point is None:
             skipped.append(i)
             full_vals.append(np.full(shape, np.nan, dtype=complex))
             red_vals.append(np.full(shape, np.nan, dtype=complex))
             continue
+        f, g = point
         full_vals.append(f)
         red_vals.append(g)
         full_norms[i] = la.norm(f, 2)
@@ -185,6 +217,7 @@ def frequency_sweep(system, model, w_lo=1e-5, w_hi=1e5, n_points=200):
         reduced=FrequencyResponse(omegas=omegas, values=red_vals, norms=red_norms),
         errors=errors,
         hinf_sample=float(finite.max()) if finite.size else np.nan,
+        workers=workers,
         skipped=skipped,
     )
 

@@ -66,6 +66,17 @@ class TestInit:
             ekba_init(OperatorPair(sys60, adjoint=adjoint), mode)
 
 
+    @pytest.mark.parametrize(
+        "build",
+        [ekba_init, lambda sys_, mode: ekba_basis(sys_, 2, mode)],
+        ids=["init", "basis"],
+    )
+    @pytest.mark.parametrize("mode", ["Adjoint", "backward", None])
+    def test_unknown_mode_rejected(self, sys60, build, mode):
+        with pytest.raises(ModeMismatch, match="unknown"):
+            build(sys60, mode)
+
+
 class TestStep:
     def test_orthonormality_one_step(self, sys60):
         basis = ekba_basis(sys60, 1, FORWARD)

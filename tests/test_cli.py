@@ -127,6 +127,33 @@ class TestBode:
         assert len(errors) == 40
         assert max(errors) <= 1e-8
 
+    @pytest.mark.parametrize("command", ["bode", "stabilize"])
+    @pytest.mark.parametrize("wlo", ["0", "-1"])
+    def test_nonpositive_wlo_is_single_line_error(
+        self, bundle, tmp_path, capsys, command, wlo
+    ):
+        out = tmp_path / "o"
+        rc = main(
+            [command, "--bundle", str(bundle), "--wlo", wlo, "--out", str(out)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: ValidationError: config: wlo must be positive"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bode", "stabilize"])
+    def test_manifest_records_sweep_workers(
+        self, bundle, tmp_path, monkeypatch, command
+    ):
+        cpus = {0, 1, 2}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        assert main(
+            [command, "--bundle", str(bundle), "--m", "2", "--points", "5",
+             "--out", str(tmp_path)]
+        ) == 0
+        payload = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert payload["sweep_workers"] == 3
+
 
 class TestStabilize:
     def test_artifacts(self, bundle, tmp_path):

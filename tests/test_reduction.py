@@ -1,10 +1,15 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
 
 from ekstab import oracle
 from ekstab.arnoldi import ADJOINT, FORWARD, ekba_basis
-from ekstab.errors import ModeMismatch, SingularShift
+from ekstab.closedloop import ClosedLoopSystem
+from ekstab.errors import DimensionMismatch, ModeMismatch, SingularShift
 from ekstab.reduction import (
     GENERALIZED,
     STATE_SPACE,
@@ -15,11 +20,60 @@ from ekstab.reduction import (
     frequency_sweep,
     write_sweep_csv,
 )
+from ekstab.riccati import FeedbackGain
 from ekstab.sysmodel import DescriptorSystem
 
 
 def _exactness_order(sys_):
     return (sys_.n_v - sys_.n_p) // (2 * sys_.n_b)
+
+
+def _oscillator():
+    """Undamped oscillator whose eigenvalues +-i sit on the sampling axis."""
+    return DescriptorSystem(
+        M=sp.eye(2, format="csc"),
+        A=sp.csc_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]])),
+        G=sp.csc_matrix((2, 0)),
+        B=np.array([[1.0], [0.0]]),
+        C=np.array([[0.0, 1.0]]),
+    )
+
+
+def _first_order_model():
+    return ReducedModel(
+        form=STATE_SPACE,
+        a=np.array([[-1.0]]),
+        b=np.array([[1.0]]),
+        c=np.array([[1.0]]),
+    )
+
+
+def _serial_responses(system, model, omegas):
+    """The sweep's reference: every point in turn in the calling thread."""
+    full = [eval_full_tf(system, 1j * w) for w in omegas]
+    reduced = [eval_reduced_tf(model, 1j * w) for w in omegas]
+    return np.array(full), np.array(reduced)
+
+
+def _assert_same_sweep(a, b):
+    assert np.array_equal(a.full.omegas, b.full.omegas)
+    for part in ("full", "reduced"):
+        x, y = getattr(a, part), getattr(b, part)
+        assert np.array_equal(np.array(x.values), np.array(y.values), equal_nan=True)
+        assert np.array_equal(x.norms, y.norms, equal_nan=True)
+    assert np.array_equal(a.errors, b.errors, equal_nan=True)
+    assert a.skipped == b.skipped
+    assert a.hinf_sample == b.hinf_sample
+
+
+@pytest.fixture(params=["open_loop", "closed_loop"])
+def swept(request, sys60):
+    """A system and a reduced model of it, open loop or with a feedback gain."""
+    system = sys60
+    if request.param == "closed_loop":
+        gain = FeedbackGain(left=np.eye(sys60.n_b), right=0.5 * sys60.B.T)
+        system = ClosedLoopSystem(sys60, gain)
+    return system, build_reduced(ekba_basis(system, 3, FORWARD), STATE_SPACE)
 
 
 class TestBuildReduced:
@@ -153,26 +207,60 @@ class TestFrequencySweep:
     def test_singular_points_skipped_not_fatal(self):
         # Purely imaginary eigenvalues +-i sit exactly on the sampling axis;
         # the hit grid point is skipped and the sweep completes.
-        import scipy.sparse as sp
-
-        osc = DescriptorSystem(
-            M=sp.eye(2, format="csc"),
-            A=sp.csc_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]])),
-            G=sp.csc_matrix((2, 0)),
-            B=np.array([[1.0], [0.0]]),
-            C=np.array([[0.0, 1.0]]),
-        )
-        model = ReducedModel(
-            form=STATE_SPACE,
-            a=np.array([[-1.0]]),
-            b=np.array([[1.0]]),
-            c=np.array([[1.0]]),
-        )
+        osc, model = _oscillator(), _first_order_model()
         sweep = frequency_sweep(osc, model, w_lo=1e-2, w_hi=1e2, n_points=9)
         # omega = 1 is the middle grid point of this log-symmetric grid
         assert 4 in sweep.skipped
         assert np.isnan(sweep.errors[4])
         assert np.isfinite(sweep.errors[0])
+
+    def test_only_the_singular_point_is_skipped(self):
+        sweep = frequency_sweep(
+            _oscillator(), _first_order_model(), w_lo=1e-2, w_hi=1e2, n_points=9
+        )
+        assert sweep.skipped == [4]
+
+    def test_matches_a_serial_loop_bit_for_bit(self, swept):
+        system, model = swept
+        sweep = frequency_sweep(system, model, n_points=30)
+        full, reduced = _serial_responses(system, model, sweep.full.omegas)
+        assert np.array_equal(np.array(sweep.full.values), full)
+        assert np.array_equal(np.array(sweep.reduced.values), reduced)
+        errors = [la.norm(f - g, 2) for f, g in zip(full, reduced)]
+        assert np.array_equal(sweep.errors, errors)
+        assert not sweep.skipped
+
+    @pytest.mark.parametrize("cpus", [{0}, set(range(8))], ids=["one", "eight"])
+    def test_result_does_not_depend_on_the_worker_count(
+        self, swept, cpus, monkeypatch
+    ):
+        # Eight workers, more than most machines running this have cores,
+        # under a short switch interval interleave their use of the shared
+        # factor cache as much as the interpreter allows.
+        system, model = swept
+        reference = frequency_sweep(system, model, n_points=30)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sweep = frequency_sweep(system, model, n_points=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sweep.workers == len(cpus)
+        _assert_same_sweep(sweep, reference)
+
+    def test_workers_capped_by_points_and_cpu_count(self, sys60, monkeypatch):
+        model = build_reduced(ekba_basis(sys60, 2, FORWARD), STATE_SPACE)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert frequency_sweep(sys60, model, n_points=10).workers == 3
+        assert frequency_sweep(sys60, model, n_points=2).workers == 2
+
+    @pytest.mark.parametrize("w_lo", [0.0, -1.0])
+    def test_nonpositive_lower_frequency_rejected(self, sys60, w_lo):
+        model = build_reduced(ekba_basis(sys60, 2, FORWARD), STATE_SPACE)
+        with pytest.raises(DimensionMismatch, match="positive"):
+            frequency_sweep(sys60, model, w_lo=w_lo, n_points=10)
 
     def test_csv_output(self, sys60, tmp_path):
         basis = ekba_basis(sys60, 2, FORWARD)
