@@ -1,11 +1,12 @@
 """Batch command-line front end for the reduction/stabilization pipeline.
 
 Subcommands wire generate/ingest -> reduce -> sweep -> Riccati ->
-stabilize -> simulate, emitting plot-ready CSV artifacts plus a JSON run
-manifest (configuration echo, package version, iteration counts,
-residuals, wall times).  Numeric artifacts are deterministic for a fixed
-seed and configuration; flags win over the optional key-value config
-file.
+stabilize -> simulate.  Each is a function ``(args, sys_) -> (exit
+status, manifest fields)``; ``main`` applies the config file (flags
+win), checks the knobs, loads ``--bundle``, times the command and writes
+``run_manifest.json``.  Artifacts go into ``--out``, created on first
+use.  Numeric artifacts are deterministic for a fixed seed and
+configuration.
 """
 
 import argparse
@@ -18,12 +19,11 @@ import numpy as np
 import scipy.io as sio
 
 from . import __version__, oracle
-from .arnoldi import FORWARD, ekba_basis
+from .arnoldi import ekba_basis
 from .closedloop import (
     ClosedLoopSystem,
     constant_input,
     read_input_csv,
-    reduce_closed_loop,
     simulate_dae,
     simulate_reduced,
     step_input,
@@ -43,6 +43,7 @@ from .sysmodel import (
     GridSpec,
     SyntheticSpec,
     Unstable,
+    _read_matrix,
     generate_synthetic,
     load_bundle,
     read_key_values,
@@ -73,25 +74,10 @@ def _apply_config(args, actions):
     return args
 
 
-def _write_manifest(out_dir, command, args, extra):
-    payload = {
-        "command": command,
-        "version": __version__,
-        "config": {
-            k: v for k, v in sorted(vars(args).items()) if k not in ("func",)
-        },
-    }
-    payload.update(extra)
-    path = os.path.join(out_dir, "run_manifest.json")
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, default=str)
-        f.write("\n")
-    return path
-
-
-def _load(args):
-    _check_knobs(args)
-    return load_bundle(args.bundle)
+def _out(args, name):
+    """Path of artifact ``name`` in ``--out``, creating the directory."""
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
 
 
 def _check_knobs(args):
@@ -134,7 +120,7 @@ def _parse_input_spec(spec, n_b):
     return constant_input(values) if kind == "const" else step_input(values, t_on)
 
 
-def _cmd_gen(args):
+def _cmd_gen(args, _):
     unstable = (
         Unstable(args.unstable, args.shift) if args.unstable else None
     )
@@ -156,184 +142,118 @@ def _cmd_gen(args):
         unstable=unstable,
         grid=grid,
     )
-    t0 = time.perf_counter()
     sys_ = generate_synthetic(spec)
     manifest = write_system(sys_, args.out)
-    _write_manifest(
-        args.out,
-        "gen",
-        args,
-        {"system_manifest": manifest, "dims": sys_.dims,
-         "wall_time_s": time.perf_counter() - t0},
-    )
     print(f"wrote {manifest}")
-    return 0
+    return 0, {"system_manifest": manifest, "dims": sys_.dims}
 
 
-def _cmd_reduce(args):
-    sys_ = _load(args)
-    os.makedirs(args.out, exist_ok=True)
-    t0 = time.perf_counter()
-    basis = ekba_basis(sys_, args.m, FORWARD)
+def _cmd_reduce(args, sys_):
+    basis = ekba_basis(sys_, args.m)
     form = GENERALIZED if args.form == "generalized" else STATE_SPACE
     model = build_reduced(basis, form)
     names = {"a": "T_m" if form == STATE_SPACE else "A_m", "b": "B_m", "c": "C_m"}
     for attr, name in names.items():
-        sio.mmwrite(
-            os.path.join(args.out, f"{name}.mtx"), getattr(model, attr), precision=17
-        )
+        sio.mmwrite(_out(args, f"{name}.mtx"), getattr(model, attr), precision=17)
     if model.mass is not None:
-        sio.mmwrite(os.path.join(args.out, "M_m.mtx"), model.mass, precision=17)
-    _write_manifest(
-        args.out,
-        "reduce",
-        args,
-        {
-            "order": model.order,
-            "breakdown_at": basis.breakdown_at,
-            "wall_time_s": time.perf_counter() - t0,
-        },
-    )
+        sio.mmwrite(_out(args, "M_m.mtx"), model.mass, precision=17)
     print(f"reduced model of order {model.order} written to {args.out}")
-    return 0
+    return 0, {"order": model.order, "breakdown_at": basis.breakdown_at}
 
 
-def _cmd_bode(args):
-    sys_ = _load(args)
-    os.makedirs(args.out, exist_ok=True)
-    t0 = time.perf_counter()
-    basis = ekba_basis(sys_, args.m, FORWARD)
-    model = build_reduced(basis, STATE_SPACE)
+def _reduce_and_sweep(args, target, csv_name):
+    """Reduce ``target`` with ``--m`` Arnoldi steps, sweep it, write ``csv_name``."""
+    model = build_reduced(ekba_basis(target, args.m), STATE_SPACE)
     sweep = frequency_sweep(
-        sys_, model, w_lo=args.wlo, w_hi=args.whi, n_points=args.points
+        target, model, w_lo=args.wlo, w_hi=args.whi, n_points=args.points
     )
-    csv_path = os.path.join(args.out, "sweep.csv")
+    csv_path = _out(args, csv_name)
     write_sweep_csv(csv_path, sweep)
-    _write_manifest(
-        args.out,
-        "bode",
-        args,
-        {
-            "order": model.order,
-            "hinf_sample": sweep.hinf_sample,
-            "skipped_points": sweep.skipped,
-            "sweep_workers": sweep.workers,
-            "wall_time_s": time.perf_counter() - t0,
-        },
-    )
+    return model, sweep, csv_path
+
+
+def _cmd_bode(args, sys_):
+    model, sweep, csv_path = _reduce_and_sweep(args, sys_, "sweep.csv")
     print(f"sweep written to {csv_path} (hinf sample {sweep.hinf_sample:.6e})")
-    return 0
+    return 0, {
+        "order": model.order,
+        "hinf_sample": sweep.hinf_sample,
+        "skipped_points": sweep.skipped,
+        "sweep_workers": sweep.workers,
+    }
 
 
-def _solve_riccati(args, sys_):
+def _riccati_gain(args, sys_):
+    """Solve for the feedback gain and write Z.mtx, K.mtx and residuals.csv.
+
+    Returns the gain, the exit status (3 when the tolerance was not met;
+    the partial gain is still written) and the manifest fields.
+    """
     solution = ebara_solve(sys_, tol=args.tol, dtol=args.dtol, m_max=args.mmax)
     gain = feedback_gain(solution.z, sys_)
-    return solution, gain
-
-
-def _write_gain(out_dir, solution, gain):
     if solution.z.size:
-        sio.mmwrite(os.path.join(out_dir, "Z.mtx"), solution.z, precision=17)
-    sio.mmwrite(os.path.join(out_dir, "K.mtx"), gain.matrix(), precision=17)
-    write_residual_csv(os.path.join(out_dir, "residuals.csv"), solution)
-
-
-def _cmd_riccati(args):
-    sys_ = _load(args)
-    os.makedirs(args.out, exist_ok=True)
-    t0 = time.perf_counter()
-    solution, gain = _solve_riccati(args, sys_)
-    _write_gain(args.out, solution, gain)
-    final = solution.residual_history[-1][1] if solution.residual_history else None
-    _write_manifest(
-        args.out,
-        "riccati",
-        args,
-        {
-            "iterations": solution.iterations,
-            "converged": solution.converged,
-            "status": solution.status,
-            "rank": solution.rank,
-            "final_relative_residual": final,
-            "wall_time_s": time.perf_counter() - t0,
-        },
-    )
-    print(
-        f"riccati: {solution.status} after {solution.iterations} iterations, "
-        f"rank {solution.rank}, final residual {final}"
-    )
-    return 0 if solution.converged else 3
-
-
-def _cmd_stabilize(args):
-    sys_ = _load(args)
-    os.makedirs(args.out, exist_ok=True)
-    t0 = time.perf_counter()
-    solution, gain = _solve_riccati(args, sys_)
-    _write_gain(args.out, solution, gain)
-    cl = ClosedLoopSystem(sys_, gain)
-    basis, model = reduce_closed_loop(cl, args.m)
-    sweep = frequency_sweep(
-        cl, model, w_lo=args.wlo, w_hi=args.whi, n_points=args.points
-    )
-    write_sweep_csv(os.path.join(args.out, "closedloop_sweep.csv"), sweep)
-    extra = {
+        sio.mmwrite(_out(args, "Z.mtx"), solution.z, precision=17)
+    sio.mmwrite(_out(args, "K.mtx"), gain.matrix(), precision=17)
+    write_residual_csv(_out(args, "residuals.csv"), solution)
+    fields = {
         "iterations": solution.iterations,
         "converged": solution.converged,
+        "status": solution.status,
         "rank": solution.rank,
-        "reduced_order": model.order,
-        "sweep_workers": sweep.workers,
-        "wall_time_s": time.perf_counter() - t0,
+        "final_relative_residual": solution.residual_history[-1][1],
     }
+    return gain, 0 if solution.converged else 3, fields
+
+
+def _cmd_riccati(args, sys_):
+    _, status, fields = _riccati_gain(args, sys_)
+    print(
+        f"riccati: {fields['status']} after {fields['iterations']} iterations, "
+        f"rank {fields['rank']}, final residual {fields['final_relative_residual']}"
+    )
+    return status, fields
+
+
+def _cmd_stabilize(args, sys_):
+    gain, status, fields = _riccati_gain(args, sys_)
+    cl = ClosedLoopSystem(sys_, gain)
+    model, sweep, _ = _reduce_and_sweep(args, cl, "closedloop_sweep.csv")
+    fields["reduced_order"] = model.order
+    fields["sweep_workers"] = sweep.workers
     if sys_.n_v <= oracle.size_cap():
         spectrum = oracle.pencil_finite_spectrum(sys_, gain)
-        extra["closed_loop_max_real"] = float(spectrum.real.max())
-    _write_manifest(args.out, "stabilize", args, extra)
+        fields["closed_loop_max_real"] = float(spectrum.real.max())
     print(
         f"stabilize: gain rank {gain.rank}, closed-loop reduced order "
         f"{model.order} written to {args.out}"
     )
-    return 0
+    return status, fields
 
 
-def _cmd_simulate(args):
-    sys_ = _load(args)
-    os.makedirs(args.out, exist_ok=True)
-    t0 = time.perf_counter()
+def _cmd_simulate(args, sys_):
     target = sys_
     if args.gain:
-        k = np.atleast_2d(np.asarray(sio.mmread(args.gain)))
+        k = np.atleast_2d(np.asarray(_read_matrix(args.gain)))
         target = ClosedLoopSystem(
             sys_, FeedbackGain(left=np.eye(k.shape[0]), right=k)
         )
     u = _parse_input_spec(args.input, sys_.n_b)
     traj = simulate_dae(target, u, h=args.h, t_end=args.horizon)
-    csv_path = os.path.join(args.out, "trajectory.csv")
+    csv_path = _out(args, "trajectory.csv")
     write_trajectory_csv(csv_path, traj)
     reduced_err = None
     if args.m:
-        model = build_reduced(ekba_basis(target, args.m, FORWARD), STATE_SPACE)
+        model = build_reduced(ekba_basis(target, args.m), STATE_SPACE)
         red = simulate_reduced(model, u, h=args.h, t_end=args.horizon)
-        write_trajectory_csv(os.path.join(args.out, "trajectory_reduced.csv"), red)
+        write_trajectory_csv(_out(args, "trajectory_reduced.csv"), red)
         reduced_err = float(
             np.max(np.linalg.norm(traj.outputs - red.outputs, axis=1))
         )
-    _write_manifest(
-        args.out,
-        "simulate",
-        args,
-        {
-            "steps": len(traj.times) - 1,
-            "max_output_error": reduced_err,
-            "wall_time_s": time.perf_counter() - t0,
-        },
-    )
     print(f"trajectory written to {csv_path}")
-    return 0
+    return 0, {"steps": len(traj.times) - 1, "max_output_error": reduced_err}
 
 
-def _cmd_verify(args):
-    sys_ = _load(args)
+def _cmd_verify(args, sys_):
     checks = []
     proj = oracle.build_projector(sys_, cap=args.cap)
     pi, tl, tr = proj.pi, proj.theta_l, proj.theta_r
@@ -361,7 +281,7 @@ def _cmd_verify(args):
         f"pencil: {spectrum.size} finite eigenvalues, "
         f"max real part {spectrum.real.max():.6e}"
     )
-    return status
+    return status, None
 
 
 def build_parser():
@@ -375,7 +295,26 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate a synthetic Matrix Market bundle")
+    # Flag groups shared by several subcommands, each declared once.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--bundle", required=True, help="system.manifest path")
+    common.add_argument("--config", help="key-value config file (flags win)")
+    order = argparse.ArgumentParser(add_help=False)
+    order.add_argument("--m", type=int, default=20)
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--wlo", type=float, default=1e-5)
+    sweep.add_argument("--whi", type=float, default=1e5)
+    sweep.add_argument("--points", type=int, default=200)
+    riccati = argparse.ArgumentParser(add_help=False)
+    riccati.add_argument("--tol", type=float, default=1e-8)
+    riccati.add_argument("--dtol", type=float, default=1e-12)
+    riccati.add_argument("--mmax", type=int, default=100)
+
+    gen = sub.add_parser(
+        "gen", parents=[out], help="generate a synthetic Matrix Market bundle"
+    )
     gen.add_argument("--nv", type=int, help="velocity nodes (default NX*NY with --grid)")
     gen.add_argument("--np", type=int, required=True)
     gen.add_argument("--nb", type=int, default=2)
@@ -385,64 +324,45 @@ def build_parser():
     gen.add_argument("--shift", type=float, default=0.5)
     gen.add_argument("--grid", type=int, nargs=2, metavar=("NX", "NY"))
     gen.add_argument("--viscosity", type=float, default=1.0)
-    gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--bundle", required=True, help="system.manifest path")
-    common.add_argument("--config", help="key-value config file (flags win)")
-
-    red = sub.add_parser("reduce", parents=[common], help="build a reduced model")
-    red.add_argument("--m", type=int, default=20)
+    red = sub.add_parser(
+        "reduce", parents=[common, order, out], help="build a reduced model"
+    )
     red.add_argument(
         "--form", choices=["state-space", "generalized"], default="state-space"
     )
-    red.add_argument("--out", required=True)
     red.set_defaults(func=_cmd_reduce)
 
     bode = sub.add_parser(
-        "bode", parents=[common], help="frequency sweep of full vs reduced"
+        "bode",
+        parents=[common, order, sweep, out],
+        help="frequency sweep of full vs reduced",
     )
-    bode.add_argument("--m", type=int, default=20)
-    bode.add_argument("--wlo", type=float, default=1e-5)
-    bode.add_argument("--whi", type=float, default=1e5)
-    bode.add_argument("--points", type=int, default=200)
-    bode.add_argument("--out", required=True)
     bode.set_defaults(func=_cmd_bode)
 
     ric = sub.add_parser(
-        "riccati", parents=[common], help="solve the projected Riccati equation"
+        "riccati",
+        parents=[common, riccati, out],
+        help="solve the projected Riccati equation",
     )
-    ric.add_argument("--tol", type=float, default=1e-8)
-    ric.add_argument("--dtol", type=float, default=1e-12)
-    ric.add_argument("--mmax", type=int, default=100)
-    ric.add_argument("--out", required=True)
     ric.set_defaults(func=_cmd_riccati)
 
     stab = sub.add_parser(
         "stabilize",
-        parents=[common],
+        parents=[common, riccati, order, sweep, out],
         help="Riccati gain plus closed-loop reduction and sweep",
     )
-    stab.add_argument("--tol", type=float, default=1e-8)
-    stab.add_argument("--dtol", type=float, default=1e-12)
-    stab.add_argument("--mmax", type=int, default=100)
-    stab.add_argument("--m", type=int, default=20)
-    stab.add_argument("--wlo", type=float, default=1e-5)
-    stab.add_argument("--whi", type=float, default=1e5)
-    stab.add_argument("--points", type=int, default=200)
-    stab.add_argument("--out", required=True)
     stab.set_defaults(func=_cmd_stabilize)
 
     sim = sub.add_parser(
-        "simulate", parents=[common], help="implicit-Euler time response"
+        "simulate", parents=[common, out], help="implicit-Euler time response"
     )
     sim.add_argument("--input", default="const", help="const[:v,..]|step[:t[:v,..]]|zero|csv:PATH")
     sim.add_argument("--h", type=float, default=0.05)
     sim.add_argument("--horizon", type=float, default=30.0, metavar="T")
     sim.add_argument("--gain", help="Matrix Market file with an n_b x n_v gain")
     sim.add_argument("--m", type=int, default=0, help="also simulate a reduced model")
-    sim.add_argument("--out", required=True)
     sim.set_defaults(func=_cmd_simulate)
 
     ver = sub.add_parser(
@@ -465,8 +385,27 @@ def main(argv=None):
     }
     try:
         args = _apply_config(args, actions)
-        return args.func(args)
-    except EkstabError as exc:
+        _check_knobs(args)
+        sys_ = load_bundle(args.bundle) if "bundle" in actions else None
+        t0 = time.perf_counter()
+        status, fields = args.func(args, sys_)
+        if fields is not None:
+            payload = {
+                "command": args.command,
+                "version": __version__,
+                "config": {
+                    k: v for k, v in sorted(vars(args).items()) if k != "func"
+                },
+                **fields,
+                "wall_time_s": time.perf_counter() - t0,
+            }
+            with open(_out(args, "run_manifest.json"), "w") as f:
+                # A numpy scalar is written as its Python value; anything
+                # else unserializable still raises TypeError.
+                json.dump(payload, f, indent=2, default=np.generic.item)
+                f.write("\n")
+        return status
+    except (EkstabError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .arnoldi import ADJOINT, ekba_init, ekba_step, projected_input
-from .errors import Breakdown, NoStabilizingSolution
+from .errors import Breakdown, DimensionMismatch, NoStabilizingSolution
 from .kernels import dense_svd
 
 CONVERGED = "converged"
@@ -206,7 +206,7 @@ def ebara_solve(sys_, tol=1e-8, dtol=1e-12, m_max=50, keep_iterates=False):
     tolerance was not met (partial solution returned, not raised).
     """
     if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
+        raise DimensionMismatch(f"m_max must be >= 1, got {m_max}")
     if not np.any(sys_.C):
         # Zero constant term: the zero solution satisfies the equation and
         # the stopping rule degenerates; nothing to iterate.
@@ -246,7 +246,7 @@ def ebara_solve(sys_, tol=1e-8, dtol=1e-12, m_max=50, keep_iterates=False):
         if rel < tol or last:
             break
     z = truncate_lowrank(y, basis, dtol, order=m)
-    converged = rel < tol
+    converged = bool(rel < tol)
     return RiccatiSolution(
         y=y,
         z=z,

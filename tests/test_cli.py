@@ -14,6 +14,113 @@ from ekstab.cli import build_parser, main
 from ekstab.sysmodel import load_bundle
 
 
+# Every command that writes run_manifest.json, with flags that keep it small.
+MANIFEST_COMMANDS = [
+    ["gen", "--nv", "20", "--np", "3"],
+    ["reduce", "--m", "2"],
+    ["bode", "--m", "2", "--points", "5"],
+    ["riccati"],
+    ["stabilize", "--m", "2", "--points", "5"],
+    ["simulate", "--m", "2", "--horizon", "1"],
+]
+
+# The JSON type each manifest key promises, matched with type() so that a
+# bool does not pass for an int.
+MANIFEST_TYPES = {
+    "command": (str,),
+    "version": (str,),
+    "config": (dict,),
+    "wall_time_s": (float,),
+    "system_manifest": (str,),
+    "dims": (list,),
+    "order": (int,),
+    "breakdown_at": (int, type(None)),
+    "hinf_sample": (float,),
+    "skipped_points": (list,),
+    "sweep_workers": (int,),
+    "iterations": (int,),
+    "converged": (bool,),
+    "status": (str,),
+    "rank": (int,),
+    "final_relative_residual": (float,),
+    "reduced_order": (int,),
+    "closed_loop_max_real": (float,),
+    "steps": (int,),
+    "max_output_error": (float, type(None)),
+}
+
+# {command: {dest: (default, type, required, choices)}} of every flag.
+PARSER_TABLE = {
+    "gen": {
+        "nv": (None, int, False, None),
+        "np": (None, int, True, None),
+        "nb": (2, int, False, None),
+        "nc": (2, int, False, None),
+        "seed": (0, int, False, None),
+        "unstable": (0, int, False, None),
+        "shift": (0.5, float, False, None),
+        "grid": (None, int, False, None),
+        "viscosity": (1.0, float, False, None),
+        "out": (None, None, True, None),
+    },
+    "reduce": {
+        "bundle": (None, None, True, None),
+        "config": (None, None, False, None),
+        "m": (20, int, False, None),
+        "form": ("state-space", None, False, ["state-space", "generalized"]),
+        "out": (None, None, True, None),
+    },
+    "bode": {
+        "bundle": (None, None, True, None),
+        "config": (None, None, False, None),
+        "m": (20, int, False, None),
+        "wlo": (1e-5, float, False, None),
+        "whi": (1e5, float, False, None),
+        "points": (200, int, False, None),
+        "out": (None, None, True, None),
+    },
+    "riccati": {
+        "bundle": (None, None, True, None),
+        "config": (None, None, False, None),
+        "tol": (1e-8, float, False, None),
+        "dtol": (1e-12, float, False, None),
+        "mmax": (100, int, False, None),
+        "out": (None, None, True, None),
+    },
+    "stabilize": {
+        "bundle": (None, None, True, None),
+        "config": (None, None, False, None),
+        "tol": (1e-8, float, False, None),
+        "dtol": (1e-12, float, False, None),
+        "mmax": (100, int, False, None),
+        "m": (20, int, False, None),
+        "wlo": (1e-5, float, False, None),
+        "whi": (1e5, float, False, None),
+        "points": (200, int, False, None),
+        "out": (None, None, True, None),
+    },
+    "simulate": {
+        "bundle": (None, None, True, None),
+        "config": (None, None, False, None),
+        "input": ("const", None, False, None),
+        "h": (0.05, float, False, None),
+        "horizon": (30.0, float, False, None),
+        "gain": (None, None, False, None),
+        "m": (0, int, False, None),
+        "out": (None, None, True, None),
+    },
+    "verify": {
+        "bundle": (None, None, True, None),
+        "config": (None, None, False, None),
+        "cap": (None, int, False, None),
+    },
+}
+
+
+def _with_bundle(argv, bundle):
+    return argv if argv[0] == "gen" else argv + ["--bundle", str(bundle)]
+
+
 @pytest.fixture(scope="module")
 def bundle(tmp_path_factory):
     out = tmp_path_factory.mktemp("bundle")
@@ -77,6 +184,18 @@ class TestGen:
             "--grid", "--viscosity", "--out",
         }
 
+    def test_every_flag_keeps_its_default_type_and_choices(self):
+        commands = build_parser().subcommands.choices
+        table = {
+            name: {
+                a.dest: (a.default, a.type, a.required, a.choices)
+                for a in command._actions
+                if a.dest != "help"
+            }
+            for name, command in commands.items()
+        }
+        assert table == PARSER_TABLE
+
 
 class TestRiccati:
     def test_end_to_end_residual(self, bundle, tmp_path):
@@ -91,6 +210,28 @@ class TestRiccati:
         k = np.atleast_2d(np.asarray(sio.mmread(tmp_path / "K.mtx")))
         assert k.shape == (2, 60)
         assert (tmp_path / "Z.mtx").exists()
+
+    @pytest.mark.parametrize(
+        "argv, written",
+        [
+            (["riccati"], []),
+            (["stabilize", "--m", "2", "--points", "5"], ["closedloop_sweep.csv"]),
+        ],
+        ids=["riccati", "stabilize"],
+    )
+    def test_unconverged_gain_exits_3_with_artifacts(
+        self, bundle, tmp_path, argv, written
+    ):
+        rc = main(
+            argv + ["--bundle", str(bundle), "--mmax", "1", "--out", str(tmp_path)]
+        )
+        assert rc == 3
+        payload = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert payload["converged"] is False
+        assert payload["status"] == "max_iterations"
+        assert payload["iterations"] == 1
+        for name in ["Z.mtx", "K.mtx", "residuals.csv", *written]:
+            assert (tmp_path / name).exists()
 
 
 class TestReduce:
@@ -303,6 +444,45 @@ class TestErrorsAndConfig:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: DimensionMismatch:")
+
+    @pytest.mark.parametrize("content", [None, "not a matrix\n"], ids=["missing", "garbage"])
+    def test_unreadable_gain_is_single_line_error(
+        self, bundle, tmp_path, capsys, content
+    ):
+        gain = tmp_path / "K.mtx"
+        if content is not None:
+            gain.write_text(content)
+        rc = main(
+            ["simulate", "--bundle", str(bundle), "--gain", str(gain),
+             "--out", str(tmp_path / "o")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ParseError:")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", MANIFEST_COMMANDS, ids=lambda argv: argv[0])
+    def test_out_naming_a_file_is_single_line_error(
+        self, bundle, tmp_path, capsys, argv
+    ):
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = main(_with_bundle(argv, bundle) + ["--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: FileExistsError:")
+
+    @pytest.mark.parametrize("argv", MANIFEST_COMMANDS, ids=lambda argv: argv[0])
+    def test_manifest_values_have_their_json_types(self, bundle, tmp_path, argv):
+        assert main(_with_bundle(argv, bundle) + ["--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "run_manifest.json").read_text())
+        keys = list(payload)
+        assert keys[:3] == ["command", "version", "config"]
+        assert keys[-1] == "wall_time_s"
+        for key, value in payload.items():
+            assert type(value) in MANIFEST_TYPES[key], (key, value)
 
     def test_console_entry_point(self, tmp_path):
         # The child imports the package from where this process found it.

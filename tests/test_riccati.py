@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as la
 
 from ekstab import oracle
-from ekstab.errors import NoStabilizingSolution
+from ekstab.errors import DimensionMismatch, NoStabilizingSolution
 from ekstab.riccati import (
     care_dense,
     care_newton_kleinman,
@@ -145,6 +145,11 @@ class TestEbaraSolve:
         assert sol.status == "max_iterations"
         assert sol.iterations == 3
         assert sol.z.size > 0
+
+    @pytest.mark.parametrize("m_max", [0, -1])
+    def test_nonpositive_m_max_is_a_package_error(self, sys60u, m_max):
+        with pytest.raises(DimensionMismatch, match="m_max must be >= 1"):
+            ebara_solve(sys60u, m_max=m_max)
 
     def test_residual_csv(self, sys60u, tmp_path):
         sol = ebara_solve(sys60u, tol=1e-8)
