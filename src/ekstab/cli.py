@@ -22,7 +22,6 @@ from . import __version__, oracle
 from .arnoldi import ekba_basis
 from .closedloop import (
     ClosedLoopSystem,
-    constant_input,
     read_input_csv,
     simulate_dae,
     simulate_reduced,
@@ -117,7 +116,7 @@ def _parse_input_spec(spec, n_b):
         raise DimensionMismatch(
             f"input spec {spec!r} has {len(values)} values, expected n_b = {n_b}"
         )
-    return constant_input(values) if kind == "const" else step_input(values, t_on)
+    return step_input(values, t_on if kind == "step" else -np.inf)
 
 
 def _cmd_gen(args, _):
@@ -186,8 +185,8 @@ def _cmd_bode(args, sys_):
 def _riccati_gain(args, sys_):
     """Solve for the feedback gain and write Z.mtx, K.mtx and residuals.csv.
 
-    Returns the gain, the exit status (3 when the tolerance was not met;
-    the partial gain is still written) and the manifest fields.
+    Returns the solution, gain, exit status (3 when the tolerance was not
+    met; the partial gain is still written) and manifest fields.
     """
     solution = ebara_solve(sys_, tol=args.tol, dtol=args.dtol, m_max=args.mmax)
     gain = feedback_gain(solution.z, sys_)
@@ -202,11 +201,11 @@ def _riccati_gain(args, sys_):
         "rank": solution.rank,
         "final_relative_residual": solution.residual_history[-1][1],
     }
-    return gain, 0 if solution.converged else 3, fields
+    return solution, gain, 0 if solution.converged else 3, fields
 
 
 def _cmd_riccati(args, sys_):
-    _, status, fields = _riccati_gain(args, sys_)
+    _, _, status, fields = _riccati_gain(args, sys_)
     print(
         f"riccati: {fields['status']} after {fields['iterations']} iterations, "
         f"rank {fields['rank']}, final residual {fields['final_relative_residual']}"
@@ -215,9 +214,12 @@ def _cmd_riccati(args, sys_):
 
 
 def _cmd_stabilize(args, sys_):
-    gain, status, fields = _riccati_gain(args, sys_)
+    solution, gain, status, fields = _riccati_gain(args, sys_)
     cl = ClosedLoopSystem(sys_, gain)
     model, sweep, _ = _reduce_and_sweep(args, cl, "closedloop_sweep.csv")
+    # Held until here: the Riccati basis holds the mass, stiffness and
+    # identity factors, which the closed-loop reduction shares.
+    del solution
     fields["reduced_order"] = model.order
     fields["sweep_workers"] = sweep.workers
     if sys_.n_v <= oracle.size_cap():
@@ -233,7 +235,7 @@ def _cmd_stabilize(args, sys_):
 def _cmd_simulate(args, sys_):
     target = sys_
     if args.gain:
-        k = np.atleast_2d(np.asarray(_read_matrix(args.gain)))
+        k = _read_matrix(args.gain, "K", dense=True)
         target = ClosedLoopSystem(
             sys_, FeedbackGain(left=np.eye(k.shape[0]), right=k)
         )

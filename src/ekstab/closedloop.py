@@ -10,6 +10,7 @@ DAE.
 
 import csv
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg as la
@@ -53,20 +54,16 @@ def reduce_closed_loop(cl, m, form=STATE_SPACE):
 
 def constant_input(values):
     """u(t) = values for all t."""
-    values = np.atleast_1d(np.asarray(values, dtype=float))
-    return lambda t: values
+    return step_input(values, -np.inf)
 
 
 def step_input(values, t_on=0.0):
     """u(t) = values once t >= t_on, zero before."""
-    values = np.atleast_1d(np.asarray(values, dtype=float))
-    off = np.zeros_like(values)
-    return lambda t: values if t >= t_on else off
+    return sampled_input([t_on], [np.atleast_1d(values)])
 
 
 def zero_input(n_b):
-    off = np.zeros(n_b)
-    return lambda t: off
+    return constant_input(np.zeros(n_b))
 
 
 def sampled_input(times, values):
@@ -139,6 +136,34 @@ class Trajectory:
     states: np.ndarray | None = None
 
 
+def _implicit_euler(solver, mass, b, c, u, h, t_end, v, blowup, keep_states=False):
+    """Implicit Euler v_k = solve(mass v_{k-1} + h b u(t_k)), y_k = c v_k, from v.
+
+    ``solver(h)`` returns the stepping solve; it is called after ``h`` and
+    ``t_end`` are checked, so a bad step factors nothing.
+    """
+    if h <= 0 or t_end <= 0:
+        raise DimensionMismatch(f"need h > 0 and t_end > 0, got {h}, {t_end}")
+    signal = _as_signal(u, b.shape[1])
+    solve = solver(h)
+    n_steps = int(round(t_end / h))
+    times = h * np.arange(n_steps + 1)
+    outputs = np.empty((n_steps + 1, c.shape[0]))
+    inputs = np.empty((n_steps + 1, b.shape[1]))
+    states = np.empty((n_steps + 1, v.size)) if keep_states else None
+    for k, t in enumerate(times):
+        uk = signal(t)
+        if k:
+            v = solve(mass @ v + h * (b @ uk))
+            if not np.all(np.isfinite(v)) or np.linalg.norm(v) > blowup:
+                raise SimulationDiverged(f"state blew up at t = {t:.6g}")
+        outputs[k] = c @ v
+        inputs[k] = uk
+        if keep_states:
+            states[k] = v
+    return Trajectory(times=times, outputs=outputs, inputs=inputs, states=states)
+
+
 def simulate_dae(sys_or_cl, u, h, t_end, v0=None, blowup=1e100, keep_states=False):
     """Implicit Euler on the index-2 DAE, one factorization for the run.
 
@@ -150,11 +175,6 @@ def simulate_dae(sys_or_cl, u, h, t_end, v0=None, blowup=1e100, keep_states=Fals
     """
     pair = as_pair(sys_or_cl)
     sys_ = pair.sys
-    if h <= 0 or t_end <= 0:
-        raise DimensionMismatch(f"need h > 0 and t_end > 0, got {h}, {t_end}")
-    signal = _as_signal(u, sys_.n_b)
-    n_steps = int(round(t_end / h))
-    times = h * np.arange(n_steps + 1)
     if v0 is None:
         v = np.zeros(sys_.n_v)
     else:
@@ -165,49 +185,19 @@ def simulate_dae(sys_or_cl, u, h, t_end, v0=None, blowup=1e100, keep_states=Fals
             np.linalg.norm(v), 1e-30
         ) * max(gnorm, 1e-30):
             raise InvalidInitialState("initial state violates G^T v0 = 0")
-    solve = pair.solver("euler", h)
-    outputs = np.empty((n_steps + 1, sys_.n_c))
-    inputs = np.empty((n_steps + 1, sys_.n_b))
-    states = np.empty((n_steps + 1, sys_.n_v)) if keep_states else None
-    outputs[0] = sys_.C @ v
-    inputs[0] = signal(times[0])
-    if keep_states:
-        states[0] = v
-    for k in range(1, n_steps + 1):
-        uk = signal(times[k])
-        rhs = sys_.M @ v + h * (sys_.B @ uk)
-        v = solve(rhs)
-        if not np.all(np.isfinite(v)) or np.linalg.norm(v) > blowup:
-            raise SimulationDiverged(f"state blew up at t = {times[k]:.6g}")
-        outputs[k] = sys_.C @ v
-        inputs[k] = uk
-        if keep_states:
-            states[k] = v
-    return Trajectory(times=times, outputs=outputs, inputs=inputs, states=states)
+    return _implicit_euler(
+        partial(pair.solver, "euler"), sys_.M, sys_.B, sys_.C, u, h, t_end, v,
+        blowup, keep_states,
+    )
 
 
 def simulate_reduced(model, u, h, t_end, blowup=1e100):
     """Implicit Euler on a reduced model from a zero initial state."""
-    if h <= 0 or t_end <= 0:
-        raise DimensionMismatch(f"need h > 0 and t_end > 0, got {h}, {t_end}")
-    signal = _as_signal(u, model.n_inputs)
-    n_steps = int(round(t_end / h))
-    times = h * np.arange(n_steps + 1)
     mass = np.eye(model.order) if model.mass is None else model.mass
-    lhs = la.lu_factor(mass - h * model.a)
-    v = np.zeros(model.order)
-    outputs = np.empty((n_steps + 1, model.n_outputs))
-    inputs = np.empty((n_steps + 1, model.n_inputs))
-    outputs[0] = model.c @ v
-    inputs[0] = signal(times[0])
-    for k in range(1, n_steps + 1):
-        uk = signal(times[k])
-        v = la.lu_solve(lhs, mass @ v + h * (model.b @ uk))
-        if not np.all(np.isfinite(v)) or np.linalg.norm(v) > blowup:
-            raise SimulationDiverged(f"reduced state blew up at t = {times[k]:.6g}")
-        outputs[k] = model.c @ v
-        inputs[k] = uk
-    return Trajectory(times=times, outputs=outputs, inputs=inputs)
+    return _implicit_euler(
+        lambda step: partial(la.lu_solve, la.lu_factor(mass - step * model.a)),
+        mass, model.b, model.c, u, h, t_end, np.zeros(model.order), blowup,
+    )
 
 
 def cost_quadrature(traj):

@@ -151,8 +151,7 @@ def truncate_lowrank(y, basis, dtol, order=None):
     """
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if y.size == 0 or not np.any(y):
-        n_v = basis.ops.sys.n_v if basis is not None else 0
-        return np.zeros((n_v, 0))
+        return np.zeros((basis.ops.sys.n_v, 0))
     u, s, _ = dense_svd(0.5 * (y + y.T))
     r = int(np.sum(s >= dtol))
     v = basis.V(order)

@@ -97,7 +97,7 @@ class DescriptorSystem:
     def dims(self):
         return (self.n_v, self.n_p, self.n_b, self.n_c)
 
-    def validate(self, dense_cap=oracle.SIZE_CAP_DEFAULT):
+    def validate(self):
         """Check the structural invariants, naming the violated one on failure."""
         n_v = self.M.shape[0]
         if self.M.shape != (n_v, n_v) or self.A.shape != (n_v, n_v):
@@ -121,7 +121,7 @@ class DescriptorSystem:
             raise ValidationError(
                 f"symmetry: ||M - M^T|| = {asym:.3e} exceeds {SYM_TOL:.0e} * ||M||"
             )
-        if n_v <= dense_cap:
+        if n_v <= oracle.SIZE_CAP_DEFAULT:
             w = la.eigvalsh(self.M.toarray())
             if w.min() <= 0.0:
                 raise ValidationError(
@@ -137,11 +137,22 @@ class DescriptorSystem:
         return self
 
 
-def _read_matrix(path):
+def _read_matrix(path, key, dense=False):
+    """Matrix ``key`` of an array- or coordinate-format Matrix Market file.
+
+    CSC, or a 2-D float array if ``dense``; NaN or Inf entries are rejected.
+    """
     try:
         mat = sio.mmread(path)
     except (ValueError, OSError, TypeError) as exc:
         raise ParseError(f"cannot read Matrix Market file {path}: {exc}") from exc
+    if dense:
+        mat = mat.toarray() if sp.issparse(mat) else mat
+        mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    else:
+        mat = sp.csc_matrix(mat)
+    if not np.isfinite(mat if dense else mat.data).all():
+        raise ValidationError(f"finite: {key} has a NaN or Inf entry")
     return mat
 
 
@@ -156,16 +167,9 @@ def load_system(paths, validate=True):
     missing = [k for k in _MATRIX_KEYS if k not in paths]
     if missing:
         raise ParseError(f"missing matrix paths: {missing}")
-    raw = {k: _read_matrix(paths[k]) for k in _MATRIX_KEYS}
-    M = sp.csc_matrix(raw["M"])
-    A = sp.csc_matrix(raw["A"])
-    G = sp.csc_matrix(raw["G"])
-    B = np.atleast_2d(np.asarray(raw["B"].todense() if sp.issparse(raw["B"]) else raw["B"], dtype=float))
-    C = np.atleast_2d(np.asarray(raw["C"].todense() if sp.issparse(raw["C"]) else raw["C"], dtype=float))
-    # Before the symmetry check: a NaN norm compares False and passes it.
-    for key, mat in zip(_MATRIX_KEYS, (M, A, G, B, C)):
-        if not np.isfinite(mat.data if sp.issparse(mat) else mat).all():
-            raise ValidationError(f"finite: {key} has a NaN or Inf entry")
+    M, A, G = (_read_matrix(paths[k], k) for k in ("M", "A", "G"))
+    B, C = (_read_matrix(paths[k], k, dense=True) for k in ("B", "C"))
+    # NaN entries, already rejected, would pass this: a NaN norm compares False.
     nrm = sp.linalg.norm(M)
     asym = sp.linalg.norm(M - M.T)
     if nrm > 0 and asym > SYM_TOL * nrm:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ekstab import oracle
+from ekstab import kernels, oracle
 from ekstab.sysmodel import (
     DescriptorSystem,
     SyntheticSpec,
@@ -52,3 +52,18 @@ def make_siso():
 @pytest.fixture
 def siso():
     return make_siso()
+
+
+@pytest.fixture
+def kinds(monkeypatch):
+    """The kind of every saddle factorization made while the test runs."""
+    made = []
+    real = kernels.factor_saddle
+
+    def counting(*args, **kwargs):
+        fact = real(*args, **kwargs)
+        made.append(fact.kind)
+        return fact
+
+    monkeypatch.setattr(kernels, "factor_saddle", counting)
+    return made

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.io as sio
+import scipy.sparse as sp
 
 import ekstab
 from ekstab.cli import build_parser, main
@@ -307,6 +308,14 @@ class TestStabilize:
         assert payload["closed_loop_max_real"] < 0.0
         assert (tmp_path / "closedloop_sweep.csv").exists()
 
+    def test_one_factor_per_unshifted_block(self, bundle, tmp_path, kinds):
+        rc = main(
+            ["stabilize", "--bundle", str(bundle), "--m", "13", "--points", "4",
+             "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        assert sorted(kinds) == ["identity", "mass"] + ["shifted"] * 4 + ["stiffness"]
+
     def test_exactness_error_column(self, bundle, tmp_path):
         rc = main(
             ["stabilize", "--bundle", str(bundle), "--m", "13", "--points", "40",
@@ -460,6 +469,40 @@ class TestErrorsAndConfig:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ParseError:")
+        assert not (tmp_path / "o").exists()
+
+    def test_coordinate_gain_simulates_like_array_gain(self, bundle, tmp_path):
+        stab = tmp_path / "stab"
+        assert main(
+            ["stabilize", "--bundle", str(bundle), "--m", "2", "--points", "4",
+             "--out", str(stab)]
+        ) == 0
+        coordinate = tmp_path / "K_coo.mtx"
+        sio.mmwrite(coordinate, sp.coo_matrix(sio.mmread(stab / "K.mtx")))
+        for gain, out in ((stab / "K.mtx", "array"), (coordinate, "coordinate")):
+            assert main(
+                ["simulate", "--bundle", str(bundle), "--gain", str(gain),
+                 "--horizon", "2", "--out", str(tmp_path / out)]
+            ) == 0
+        trajectory = [
+            (tmp_path / out / "trajectory.csv").read_bytes()
+            for out in ("array", "coordinate")
+        ]
+        assert trajectory[0] == trajectory[1]
+
+    def test_non_finite_gain_is_single_line_error(self, bundle, tmp_path, capsys):
+        k = np.zeros((2, 60))
+        k[1, 7] = np.nan
+        gain = tmp_path / "K.mtx"
+        sio.mmwrite(gain, k)
+        rc = main(
+            ["simulate", "--bundle", str(bundle), "--gain", str(gain),
+             "--out", str(tmp_path / "o")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ValidationError: finite: K ")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", MANIFEST_COMMANDS, ids=lambda argv: argv[0])

@@ -166,19 +166,6 @@ class TestReduceClosedLoop:
 
 class TestSharedFactors:
     @pytest.fixture
-    def kinds(self, monkeypatch):
-        made = []
-        real = kernels.factor_saddle
-
-        def counting(*args, **kwargs):
-            fact = real(*args, **kwargs)
-            made.append(fact.kind)
-            return fact
-
-        monkeypatch.setattr(kernels, "factor_saddle", counting)
-        return made
-
-    @pytest.fixture
     def fresh(self):
         return generate_synthetic(
             SyntheticSpec(60, 8, n_b=2, n_c=2, seed=7, unstable=Unstable(2, 0.5))
