@@ -9,9 +9,17 @@ Hessenberg matrix (one extra mass-block solve per step for the
 inverse-branch columns).  The other work of a step is two Gram-Schmidt
 matrix products against the contiguous basis and one reprojection onto
 G^T v = 0, a solve with the sparse identity block [[I, G], [G^T, 0]].
+
+The mass-block and stiffness-block solves of a step (and of the start
+block) do not depend on each other, so the mass-block solve runs on one
+worker thread while the caller does the stiffness-block solve; SuperLU
+releases the interpreter lock, so the two overlap on two cores.  Each
+is the same call on the same factors as when run one after the other,
+so the basis does not depend on the overlap, bit for bit.
 """
 
-from functools import cached_property
+from concurrent.futures import ThreadPoolExecutor
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -235,6 +243,26 @@ class ExtendedBasis:
         return _readonly(self._hess[k : k + self.width, k - self.width : k])
 
 
+@cache
+def _worker():
+    """The one worker thread of the process's Arnoldi steps, started on first use."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="ekstab-arnoldi")
+
+
+def _overlapped(background, foreground):
+    """(background(), foreground()), background on the worker thread.
+
+    Nothing is raised before the worker's call has finished, so no task
+    outlives this call; when both fail, the worker's error is raised.
+    """
+    future = _worker().submit(background)
+    try:
+        front = foreground()
+    finally:
+        back = future.result()
+    return back, front
+
+
 def ekba_init(source, mode=FORWARD):
     """Run the starting saddle solves and first QR of the Arnoldi process.
 
@@ -242,8 +270,11 @@ def ekba_init(source, mode=FORWARD):
     start blocks solve [[M, G], [G^T, 0]] [x; *] = [S; 0] and
     [[A, G], [G^T, 0]] [x; *] = [S; 0] with S the input map (the output
     map transposed in adjoint mode); their joint QR yields the first
-    basis block and the triangular factor reused throughout.  A prebuilt
-    pair must already run in direction ``mode``.
+    basis block and the triangular factor reused throughout.  The
+    mass-block solve runs on the worker thread while the caller does the
+    stiffness-block solve, so their first-use factorizations overlap;
+    when both fail, the mass block's error is raised.  A prebuilt pair
+    must already run in direction ``mode``.
     """
     if mode not in (FORWARD, ADJOINT):
         raise ModeMismatch(f"unknown Arnoldi mode {mode!r}")
@@ -251,8 +282,7 @@ def ekba_init(source, mode=FORWARD):
     if ops.adjoint != (mode == ADJOINT):
         raise ModeMismatch(f"mode {mode!r} differs from the direction of the pair")
     s = ops.start
-    v1 = ops.solve_mass(s)
-    v2 = ops.solve_stiff(s)
+    v1, v2 = _overlapped(lambda: ops.solve_mass(s), lambda: ops.solve_stiff(s))
     first = np.column_stack([v1, v2])
     qr = kernels.thin_qr(first)
     return ExtendedBasis(ops=ops, first=qr.q, lam=qr.r)
@@ -265,6 +295,8 @@ def ekba_step(basis):
     A V_j^(1); the inverse branch solves the stiffness-block saddle with
     right-hand side M V_j^(2).  The same mass-block solve also carries
     A V_j^(2), whose projection supplies the operator-Hessenberg column.
+    The mass-block solve runs on the worker thread while the caller does
+    the stiffness-block solve; the rest of the step runs on the caller.
     On a rank-deficient candidate the step raises Breakdown after
     recording that column, so the square projected operator of the basis
     built so far stays available.
@@ -277,13 +309,17 @@ def ekba_step(basis):
     j = basis.m
     vj = basis.block(j - 1)
     b = basis.width // 2
-    images = basis.ops.solve_mass(basis.ops.apply(vj))
+    ops = basis.ops
+    images, inverse = _overlapped(
+        lambda: ops.solve_mass(ops.apply(vj)),
+        lambda: ops.solve_stiff(ops.apply_mass(vj[:, b:])),
+    )
     cand = np.empty_like(images, order="F")
     cand[:, :b] = images[:, :b]
-    cand[:, b:] = basis.ops.solve_stiff(basis.ops.apply_mass(vj[:, b:]))
+    cand[:, b:] = inverse
     scale = np.linalg.norm(cand, 2)
     _, w = kernels.block_gram_schmidt(cand, basis.V(j))
-    w = basis.ops.reproject(w)
+    w = ops.reproject(w)
     _, w = kernels.block_gram_schmidt(w, basis.V(j))
     try:
         qr = kernels.thin_qr(w, rank_scale=scale)

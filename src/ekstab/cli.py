@@ -11,6 +11,7 @@ configuration.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -79,8 +80,15 @@ def _out(args, name):
     return os.path.join(args.out, name)
 
 
-def _check_knobs(args):
-    """Reject out-of-range numeric knobs before touching any files."""
+def _check_knobs(args, actions):
+    """Reject out-of-range numeric knobs before touching any files.
+
+    Every float-typed flag must be finite; ``actions`` maps each flag's
+    destination to its argparse action.
+    """
+    for name, action in actions.items():
+        if action.type is float and not math.isfinite(getattr(args, name)):
+            raise ValidationError(f"config: {name} must be finite")
     checks = (
         ("tol", lambda v: v > 0.0, "tol must be positive"),
         ("dtol", lambda v: v > 0.0, "dtol must be positive"),
@@ -96,6 +104,8 @@ def _check_knobs(args):
             raise ValidationError(f"config: {message}")
     if hasattr(args, "wlo") and not args.wlo < args.whi:
         raise ValidationError("config: need wlo < whi")
+    if hasattr(args, "h") and args.h > args.horizon:
+        raise ValidationError("config: need h <= horizon")
 
 
 def _parse_input_spec(spec, n_b):
@@ -387,7 +397,7 @@ def main(argv=None):
     }
     try:
         args = _apply_config(args, actions)
-        _check_knobs(args)
+        _check_knobs(args, actions)
         sys_ = load_bundle(args.bundle) if "bundle" in actions else None
         t0 = time.perf_counter()
         status, fields = args.func(args, sys_)

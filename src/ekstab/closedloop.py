@@ -140,13 +140,16 @@ def _implicit_euler(solver, mass, b, c, u, h, t_end, v, blowup, keep_states=Fals
     """Implicit Euler v_k = solve(mass v_{k-1} + h b u(t_k)), y_k = c v_k, from v.
 
     ``solver(h)`` returns the stepping solve; it is called after ``h`` and
-    ``t_end`` are checked, so a bad step factors nothing.
+    ``t_end`` are checked, so a bad step factors nothing.  ``h`` and
+    ``t_end`` must be finite and positive and make at least one step.
     """
-    if h <= 0 or t_end <= 0:
-        raise DimensionMismatch(f"need h > 0 and t_end > 0, got {h}, {t_end}")
+    if not (0 < h < np.inf and 0 < t_end < np.inf):
+        raise DimensionMismatch(f"need finite h > 0 and t_end > 0, got {h}, {t_end}")
+    n_steps = int(round(t_end / h))
+    if n_steps == 0:
+        raise DimensionMismatch(f"h = {h} makes no step up to t_end = {t_end}")
     signal = _as_signal(u, b.shape[1])
     solve = solver(h)
-    n_steps = int(round(t_end / h))
     times = h * np.arange(n_steps + 1)
     outputs = np.empty((n_steps + 1, c.shape[0]))
     inputs = np.empty((n_steps + 1, b.shape[1]))

@@ -187,8 +187,8 @@ def frequency_sweep(system, model, w_lo=1e-5, w_hi=1e5, n_points=200):
     """
     if not w_lo > 0:
         raise DimensionMismatch(f"w_lo must be positive, got {w_lo}")
-    if not w_lo < w_hi:
-        raise DimensionMismatch(f"need w_lo < w_hi, got {w_lo}, {w_hi}")
+    if not w_lo < w_hi < np.inf:
+        raise DimensionMismatch(f"need w_lo < w_hi < inf, got {w_lo}, {w_hi}")
     omegas = np.logspace(np.log10(w_lo), np.log10(w_hi), n_points)
     workers = max(1, min(_process_cpus(), n_points))
     with ThreadPoolExecutor(max_workers=workers) as pool:

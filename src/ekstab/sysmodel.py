@@ -414,8 +414,10 @@ def generate_synthetic(spec):
             raise InfeasibleSpec(
                 f"unstable count must be positive, got {spec.unstable.count}"
             )
-        if spec.unstable.shift <= 0.0:
-            raise InfeasibleSpec("unstable shift must be positive")
+        if not 0.0 < spec.unstable.shift < np.inf:
+            raise InfeasibleSpec(
+                f"unstable shift must be positive and finite, got {spec.unstable.shift}"
+            )
     rng = np.random.default_rng(spec.seed)
     n_v = spec.n_v
     if spec.grid is not None:
@@ -423,9 +425,9 @@ def generate_synthetic(spec):
             raise InfeasibleSpec(
                 f"grid {spec.grid.nx} x {spec.grid.ny} does not match n_v = {n_v}"
             )
-        if spec.grid.viscosity < 0.0:
+        if not 0.0 <= spec.grid.viscosity < np.inf:
             raise InfeasibleSpec(
-                f"viscosity must be nonnegative, got {spec.grid.viscosity}"
+                f"viscosity must be nonnegative and finite, got {spec.grid.viscosity}"
             )
         lap, M, conv = _grid_operators(spec.grid)
         nu = spec.grid.viscosity

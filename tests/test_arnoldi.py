@@ -1,9 +1,13 @@
+import threading
+import time
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from ekstab import kernels, oracle
+from ekstab import arnoldi, kernels, oracle
 from ekstab.arnoldi import (
     ADJOINT,
     FORWARD,
@@ -13,11 +17,20 @@ from ekstab.arnoldi import (
     ekba_step,
     projected_input,
 )
-from ekstab.errors import Breakdown, DimensionMismatch, ModeMismatch, RankDeficient
+from ekstab.closedloop import ClosedLoopSystem, reduce_closed_loop
+from ekstab.errors import (
+    Breakdown,
+    DimensionMismatch,
+    ModeMismatch,
+    RankDeficient,
+    SingularSaddle,
+)
+from ekstab.riccati import ebara_solve, feedback_gain
 from ekstab.sysmodel import (
     DescriptorSystem,
     GridSpec,
     SyntheticSpec,
+    Unstable,
     generate_synthetic,
 )
 
@@ -285,3 +298,102 @@ class TestProjectedInput:
         lifted = basis.V(m) @ projected_input(basis, m)
         lifted_ref = (proj60.theta_r @ v_theta[:, : m * basis.width]) @ ref
         assert la.norm(lifted - lifted_ref, 2) <= 1e-8
+
+
+class _Synchronous:
+    """Executor stand-in that runs each task on the caller when it is submitted."""
+
+    def submit(self, fn):
+        future = Future()
+        try:
+            future.set_result(fn())
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
+
+
+def _grid_system():
+    """A fresh 20 x 20 grid system, so every factorization is made anew."""
+    return generate_synthetic(
+        SyntheticSpec(
+            400, 25, n_b=2, n_c=2, seed=3, grid=GridSpec(20, 20),
+            unstable=Unstable(2, 0.5),
+        )
+    )
+
+
+def _riccati(sys_):
+    sol = ebara_solve(sys_, tol=1e-8, m_max=30)
+    return [sol.z, np.array([r for _, r in sol.residual_history])]
+
+
+def _basis(mode):
+    def run(sys_):
+        basis = ekba_basis(sys_, 6, mode)
+        return [basis.V(), basis.Tbar(), basis.lam]
+
+    return run
+
+
+def _closed_loop(sys_):
+    sol = ebara_solve(sys_, tol=1e-8, m_max=30)
+    basis, model = reduce_closed_loop(
+        ClosedLoopSystem(sys_, feedback_gain(sol.z, sys_)), 6
+    )
+    return [basis.V(), basis.Tbar(), model.a]
+
+
+class TestOverlappedSolves:
+    @pytest.mark.parametrize(
+        "run",
+        [_riccati, _basis(FORWARD), _basis(ADJOINT), _closed_loop],
+        ids=["ebara_solve", "forward", "adjoint", "reduce_closed_loop"],
+    )
+    def test_results_do_not_depend_on_the_overlap(self, monkeypatch, run):
+        overlapped = run(_grid_system())
+        monkeypatch.setattr(arnoldi, "_worker", _Synchronous)
+        serial = run(_grid_system())
+        assert all(np.array_equal(a, b) for a, b in zip(overlapped, serial))
+
+    def test_mass_block_solves_run_on_the_worker(self, monkeypatch):
+        threads = {}
+        real = kernels.solve_saddle
+
+        def recording(fact, rhs, *args, **kwargs):
+            threads.setdefault(fact.kind, set()).add(threading.get_ident())
+            return real(fact, rhs, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "solve_saddle", recording)
+        basis = ekba_init(_grid_system(), FORWARD)
+        ekba_step(basis)
+        caller = {threading.get_ident()}
+        assert threads["stiffness"] == threads["identity"] == caller
+        assert len(threads["mass"]) == 1 and threads["mass"] != caller
+
+    def test_both_blocks_singular_raises_the_mass_error(self, sys60, monkeypatch):
+        # Two equal columns make G rank-deficient, so both saddle blocks
+        # are singular.  The mass factorization is held back, so the
+        # stiffness one fails first.
+        g = sys60.G.toarray()
+        rank_deficient = DescriptorSystem(
+            M=sys60.M, A=sys60.A, G=sp.csc_matrix(np.hstack([g, g[:, :1]])),
+            B=sys60.B, C=sys60.C,
+        )
+        tried, running = [], []
+        real = kernels.factor_saddle
+
+        def held_back(W, G, kind="custom", shift=None):
+            tried.append(kind)
+            running.append(kind)
+            try:
+                if kind == "mass":
+                    time.sleep(0.2)
+                return real(W, G, kind=kind, shift=shift)
+            finally:
+                running.remove(kind)
+
+        monkeypatch.setattr(kernels, "factor_saddle", held_back)
+        with pytest.raises(SingularSaddle, match=r"\(mass\)"):
+            ekba_init(rank_deficient, FORWARD)
+        assert sorted(tried) == ["mass", "stiffness"]
+        assert running == []

@@ -118,6 +118,15 @@ PARSER_TABLE = {
 }
 
 
+# Every float-typed flag, as (command, destination).
+FLOAT_FLAGS = [
+    (command, dest)
+    for command, flags in PARSER_TABLE.items()
+    for dest, (_, kind, _, _) in flags.items()
+    if kind is float
+]
+
+
 def _with_bundle(argv, bundle):
     return argv if argv[0] == "gen" else argv + ["--bundle", str(bundle)]
 
@@ -382,6 +391,50 @@ class TestErrorsAndConfig:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ValidationError: finite: B ")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, dest", FLOAT_FLAGS)
+    def test_non_finite_float_flag_is_single_line_error(
+        self, bundle, tmp_path, capsys, command, dest, value
+    ):
+        argv = {a[0]: a for a in MANIFEST_COMMANDS}.get(command, [command])
+        out = tmp_path / "o"
+        rc = main(
+            _with_bundle(argv, bundle) + [f"--{dest}={value}", "--out", str(out)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: ValidationError: config: {dest} must be finite"]
+        assert not out.exists()
+
+    def test_non_finite_config_value_is_single_line_error(
+        self, bundle, tmp_path, capsys
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol = nan\n")
+        out = tmp_path / "o"
+        rc = main(
+            ["riccati", "--bundle", str(bundle), "--config", str(cfg),
+             "--out", str(out)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: ValidationError: config: tol must be finite"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("h, horizon", [("10", "1"), ("1.5", "1")])
+    def test_step_longer_than_horizon_is_single_line_error(
+        self, bundle, tmp_path, capsys, h, horizon
+    ):
+        out = tmp_path / "o"
+        rc = main(
+            ["simulate", "--bundle", str(bundle), "--h", h, "--horizon", horizon,
+             "--out", str(out)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: ValidationError: config: need h <= horizon"]
+        assert not out.exists()
 
     def test_config_file_defaults_and_flag_priority(self, bundle, tmp_path):
         cfg = tmp_path / "run.cfg"

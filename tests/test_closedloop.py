@@ -248,6 +248,15 @@ class TestSimulateDae:
                 blowup=1e6,
             )
 
+    @pytest.mark.parametrize(
+        "h, t_end",
+        [(np.inf, 1.0), (np.nan, 1.0), (0.1, np.inf), (0.1, np.nan), (10.0, 1.0)],
+    )
+    def test_non_finite_or_stepless_run_rejected(self, sys60, kinds, h, t_end):
+        with pytest.raises(DimensionMismatch):
+            simulate_dae(sys60, zero_input(sys60.n_b), h=h, t_end=t_end)
+        assert kinds == []
+
     def test_invalid_initial_state(self, sys60):
         rng = np.random.default_rng(3)
         v0 = rng.standard_normal(sys60.n_v)  # violates G^T v = 0

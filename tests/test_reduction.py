@@ -262,6 +262,12 @@ class TestFrequencySweep:
         with pytest.raises(DimensionMismatch, match="positive"):
             frequency_sweep(sys60, model, w_lo=w_lo, n_points=10)
 
+    @pytest.mark.parametrize("w_hi", [np.inf, np.nan])
+    def test_non_finite_upper_frequency_rejected(self, sys60, w_hi):
+        model = build_reduced(ekba_basis(sys60, 2, FORWARD), STATE_SPACE)
+        with pytest.raises(DimensionMismatch, match="w_hi"):
+            frequency_sweep(sys60, model, w_hi=w_hi, n_points=10)
+
     def test_csv_output(self, sys60, tmp_path):
         basis = ekba_basis(sys60, 2, FORWARD)
         model = build_reduced(basis, STATE_SPACE)

@@ -160,6 +160,10 @@ class TestGenerateSynthetic:
             # Pressure anchors on every second node leave no empty row of G.
             SyntheticSpec(10, 5, seed=0, unstable=Unstable(1, 0.5)),
             SyntheticSpec(64, 6, seed=0, grid=GridSpec(8, 8, viscosity=-1.0)),
+            SyntheticSpec(64, 6, seed=0, grid=GridSpec(8, 8, viscosity=np.nan)),
+            SyntheticSpec(64, 6, seed=0, grid=GridSpec(8, 8, viscosity=np.inf)),
+            SyntheticSpec(10, 2, seed=0, unstable=Unstable(1, np.nan)),
+            SyntheticSpec(10, 2, seed=0, unstable=Unstable(1, np.inf)),
         ],
     )
     def test_infeasible_specs(self, spec):
