@@ -25,6 +25,7 @@ import numpy as np
 
 from . import kernels
 from .errors import Breakdown, DimensionMismatch, ModeMismatch, RankDeficient
+from .sysmodel import _SADDLE_KINDS
 
 FORWARD = "forward"
 ADJOINT = "adjoint"
@@ -71,19 +72,16 @@ class OperatorPair:
         ``kind`` is "stiffness" (W = A), "shifted" (W = shift M - A) or
         "euler" (W = M - shift A).  Without a gain the function is a plain
         solve with the block's factors; with one it solves the block with
-        W - c B K, c the coefficient of A in W, through an SMW update of
-        those factors, whose capture matrix is checked here.
+        W - c B K, c the coefficient of A in W read from ``_SADDLE_KINDS``,
+        through an SMW update of those factors, whose capture matrix is
+        checked here; any other kind is a DimensionMismatch.
         """
-        if kind == "stiffness":
-            fact, c = self.fact_stiff, 1.0
-        elif kind in ("shifted", "euler") and shift is not None:
-            fact = self.sys.saddle(kind, shift)
-            c = -1.0 if kind == "shifted" else -shift
-        else:
-            raise DimensionMismatch(
-                f"no corrected saddle block of kind {kind!r} with shift {shift!r}"
-            )
+        row = _SADDLE_KINDS.get(kind)
+        if row is None or row.a_coef is None:
+            raise DimensionMismatch(f"no corrected saddle block of kind {kind!r}")
+        fact = self.sys.saddle(kind, shift)
         if self.k_matrix is not None:
+            c = row.a_coef(shift)
             return kernels.SmwCorrector(fact, self.start, self.k_matrix, c).solve
         # A closure over the pair itself would hold its factors in a cycle.
         adjoint = self.adjoint

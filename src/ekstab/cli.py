@@ -17,7 +17,6 @@ import sys
 import time
 
 import numpy as np
-import scipy.io as sio
 
 from . import __version__, oracle
 from .arnoldi import ekba_basis
@@ -44,6 +43,7 @@ from .sysmodel import (
     SyntheticSpec,
     Unstable,
     _read_matrix,
+    _write_matrix,
     generate_synthetic,
     load_bundle,
     read_key_values,
@@ -163,9 +163,9 @@ def _cmd_reduce(args, sys_):
     model = build_reduced(basis, form)
     names = {"a": "T_m" if form == STATE_SPACE else "A_m", "b": "B_m", "c": "C_m"}
     for attr, name in names.items():
-        sio.mmwrite(_out(args, f"{name}.mtx"), getattr(model, attr), precision=17)
+        _write_matrix(_out(args, f"{name}.mtx"), getattr(model, attr))
     if model.mass is not None:
-        sio.mmwrite(_out(args, "M_m.mtx"), model.mass, precision=17)
+        _write_matrix(_out(args, "M_m.mtx"), model.mass)
     print(f"reduced model of order {model.order} written to {args.out}")
     return 0, {"order": model.order, "breakdown_at": basis.breakdown_at}
 
@@ -201,8 +201,8 @@ def _riccati_gain(args, sys_):
     solution = ebara_solve(sys_, tol=args.tol, dtol=args.dtol, m_max=args.mmax)
     gain = feedback_gain(solution.z, sys_)
     if solution.z.size:
-        sio.mmwrite(_out(args, "Z.mtx"), solution.z, precision=17)
-    sio.mmwrite(_out(args, "K.mtx"), gain.matrix(), precision=17)
+        _write_matrix(_out(args, "Z.mtx"), solution.z)
+    _write_matrix(_out(args, "K.mtx"), gain.matrix())
     write_residual_csv(_out(args, "residuals.csv"), solution)
     fields = {
         "iterations": solution.iterations,
@@ -266,24 +266,19 @@ def _cmd_simulate(args, sys_):
 
 
 def _cmd_verify(args, sys_):
-    checks = []
     proj = oracle.build_projector(sys_, cap=args.cap)
     pi, tl, tr = proj.pi, proj.theta_l, proj.theta_r
     eye = np.eye(sys_.n_v - sys_.n_p)
-    checks.append(("pi idempotent", np.linalg.norm(pi @ pi - pi, 2)))
-    checks.append(("pi annihilates G", np.linalg.norm(pi @ sys_.G.toarray(), 2)))
-    checks.append(
-        (
-            "pi M symmetry",
-            np.linalg.norm(pi @ sys_.M.toarray() - sys_.M.toarray() @ pi.T, 2),
-        )
-    )
-    checks.append(("theta product", np.linalg.norm(tl @ tr.T - pi, 2)))
-    checks.append(("theta biorthogonal", np.linalg.norm(tl.T @ tr - eye, 2)))
+    m = sys_.M.toarray()
     spectrum = oracle.pencil_finite_spectrum(sys_, cap=args.cap)
-    checks.append(
-        ("finite eigenvalue count", float(abs(spectrum.size - (sys_.n_v - sys_.n_p))))
-    )
+    checks = [
+        ("pi idempotent", np.linalg.norm(pi @ pi - pi, 2)),
+        ("pi annihilates G", np.linalg.norm(pi @ sys_.G.toarray(), 2)),
+        ("pi M symmetry", np.linalg.norm(pi @ m - m @ pi.T, 2)),
+        ("theta product", np.linalg.norm(tl @ tr.T - pi, 2)),
+        ("theta biorthogonal", np.linalg.norm(tl.T @ tr - eye, 2)),
+        ("finite eigenvalue count", float(abs(spectrum.size - (sys_.n_v - sys_.n_p)))),
+    ]
     status = 0
     for name, dev in checks:
         ok = dev <= 1e-9

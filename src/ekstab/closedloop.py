@@ -24,6 +24,7 @@ from .errors import (
     SimulationDiverged,
 )
 from .reduction import STATE_SPACE, build_reduced
+from .sysmodel import write_csv
 
 
 class ClosedLoopSystem(OperatorPair):
@@ -139,21 +140,25 @@ class Trajectory:
 def _implicit_euler(solver, mass, b, c, u, h, t_end, v, blowup, keep_states=False):
     """Implicit Euler v_k = solve(mass v_{k-1} + h b u(t_k)), y_k = c v_k, from v.
 
-    ``solver(h)`` returns the stepping solve; it is called after ``h`` and
-    ``t_end`` are checked, so a bad step factors nothing.  ``h`` and
-    ``t_end`` must be finite and positive and make at least one step.
+    ``solver(h)`` is called once ``h`` and ``t_end`` are checked and the
+    record is allocated, so a bad step factors nothing.  ``h`` and
+    ``t_end`` must be finite and positive and make at least one step, and
+    no more than an array can hold.
     """
     if not (0 < h < np.inf and 0 < t_end < np.inf):
         raise DimensionMismatch(f"need finite h > 0 and t_end > 0, got {h}, {t_end}")
-    n_steps = int(round(t_end / h))
+    try:
+        n_steps = int(round(t_end / h))
+        times = h * np.arange(n_steps + 1)
+        outputs = np.empty((n_steps + 1, c.shape[0]))
+        inputs = np.empty((n_steps + 1, b.shape[1]))
+        states = np.empty((n_steps + 1, v.size)) if keep_states else None
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise DimensionMismatch(f"h = {h} makes too many steps: {exc}") from exc
     if n_steps == 0:
         raise DimensionMismatch(f"h = {h} makes no step up to t_end = {t_end}")
     signal = _as_signal(u, b.shape[1])
     solve = solver(h)
-    times = h * np.arange(n_steps + 1)
-    outputs = np.empty((n_steps + 1, c.shape[0]))
-    inputs = np.empty((n_steps + 1, b.shape[1]))
-    states = np.empty((n_steps + 1, v.size)) if keep_states else None
     for k, t in enumerate(times):
         uk = signal(t)
         if k:
@@ -213,18 +218,6 @@ def cost_quadrature(traj):
 
 def write_trajectory_csv(path, traj):
     """Columns t, y_1..y_nc, u_1..u_nb; one row per grid point."""
-    n_c = traj.outputs.shape[1]
-    n_b = traj.inputs.shape[1]
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            ["t"]
-            + [f"y_{i + 1}" for i in range(n_c)]
-            + [f"u_{i + 1}" for i in range(n_b)]
-        )
-        for k, t in enumerate(traj.times):
-            writer.writerow(
-                [f"{t:.17g}"]
-                + [f"{v:.17g}" for v in traj.outputs[k]]
-                + [f"{v:.17g}" for v in traj.inputs[k]]
-            )
+    header = ["t"] + [f"y_{i + 1}" for i in range(traj.outputs.shape[1])]
+    header += [f"u_{i + 1}" for i in range(traj.inputs.shape[1])]
+    write_csv(path, header, np.column_stack((traj.times, traj.outputs, traj.inputs)))

@@ -2,9 +2,10 @@
 
 Explicit projector, its biorthogonal decomposition, the textbook extended
 block Arnoldi process on the dense projected system, the dense Riccati
-residual, and pencil spectra.  Test support only; every entry point is
-guarded by a configurable size cap (``EKSTAB_ORACLE_CAP`` overrides the
-default of 500).
+residual, and pencil spectra: the tests' referee, and the dense checks
+of ``generate_synthetic``, ``validate`` and CLI ``stabilize``/``verify``.
+Every entry point is guarded by a configurable size cap
+(``EKSTAB_ORACLE_CAP`` overrides the default of 500).
 """
 
 import os

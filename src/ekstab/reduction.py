@@ -8,7 +8,6 @@ functions are evaluated through one complex sparse saddle factorization
 per shift; the dense projector is never formed.
 """
 
-import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -24,6 +23,7 @@ from .errors import (
     SingularSaddle,
     SingularShift,
 )
+from .sysmodel import write_csv
 
 STATE_SPACE = "state_space"
 GENERALIZED = "generalized"
@@ -224,15 +224,5 @@ def frequency_sweep(system, model, w_lo=1e-5, w_hi=1e5, n_points=200):
 
 def write_sweep_csv(path, sweep):
     """One row per grid point: omega, norm_full, norm_reduced, error."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["omega", "norm_full", "norm_reduced", "error"])
-        for i, w in enumerate(sweep.full.omegas):
-            writer.writerow(
-                [
-                    f"{w:.17g}",
-                    f"{sweep.full.norms[i]:.17g}",
-                    f"{sweep.reduced.norms[i]:.17g}",
-                    f"{sweep.errors[i]:.17g}",
-                ]
-            )
+    columns = (sweep.full.omegas, sweep.full.norms, sweep.reduced.norms, sweep.errors)
+    write_csv(path, ["omega", "norm_full", "norm_reduced", "error"], zip(*columns))

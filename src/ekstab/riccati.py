@@ -8,7 +8,6 @@ convergence the reduced solution is truncated to a low-rank factor and
 the LQR feedback gain is assembled as a pair of skinny factors.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +16,7 @@ import scipy.linalg as la
 from .arnoldi import ADJOINT, ekba_init, ekba_step, projected_input
 from .errors import Breakdown, DimensionMismatch, NoStabilizingSolution
 from .kernels import dense_svd
+from .sysmodel import write_csv
 
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
@@ -261,8 +261,4 @@ def ebara_solve(sys_, tol=1e-8, dtol=1e-12, m_max=50, keep_iterates=False):
 
 def write_residual_csv(path, solution):
     """Residual history CSV with columns iteration, residual."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["iteration", "residual"])
-        for m, r in solution.residual_history:
-            writer.writerow([m, f"{r:.17g}"])
+    write_csv(path, ["iteration", "residual"], solution.residual_history)

@@ -7,8 +7,10 @@ gradient.  Systems are ingested pre-assembled from Matrix Market bundles
 or generated synthetically on a 1-D or 2-D grid stencil.
 """
 
+import csv
 import os
 import weakref
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +31,21 @@ SYM_TOL = 1e-12
 
 MANIFEST_NAME = "system.manifest"
 _MATRIX_KEYS = ("M", "A", "G", "B", "C")
+# Significant digits of every artifact number: 17 read back as the same float.
+DIGITS = 17
+
+
+# One row per kind of saddle block [[W, G], [G^T, 0]]: W from the system s
+# and the shift, whether the kind takes a shift, and the coefficient c of A
+# in W that the feedback correction W - c B K reads (None: W holds no A).
+_Kind = namedtuple("_Kind", "block takes_shift a_coef")
+_SADDLE_KINDS = {
+    "mass": _Kind(lambda s, _: s.M, False, None),
+    "stiffness": _Kind(lambda s, _: s.A, False, lambda _: 1.0),
+    "shifted": _Kind(lambda s, x: (x * s.M - s.A).tocsc(), True, lambda _: -1.0),
+    "euler": _Kind(lambda s, h: (s.M - h * s.A).tocsc(), True, lambda h: -h),
+    "identity": _Kind(lambda s, _: sp.identity(s.n_v, format="csc"), False, None),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,29 +67,26 @@ class DescriptorSystem:
     def saddle(self, kind, shift=None):
         """Sparse LU factors of the saddle block [[W, G], [G^T, 0]].
 
-        ``kind`` selects W: "mass" (M), "stiffness" (A), "shifted"
-        (shift M - A), "euler" (M - shift A) or "identity" (I, whose
-        solve is the orthogonal projection onto null(G^T)).  A
-        factorization is held weakly, keyed by (kind, shift): every
-        caller asking while another object still holds it gets the same
-        factors, and it is freed with its last holder, so a long-lived
-        system accumulates nothing.
+        ``kind`` selects W by its row of ``_SADDLE_KINDS``: "mass" (M),
+        "stiffness" (A), "shifted" (shift M - A), "euler" (M - shift A)
+        or "identity" (I, whose solve is the orthogonal projection onto
+        null(G^T)).  An unknown kind, a shift given to a shiftless kind or
+        a missing one is a DimensionMismatch, raised before anything is
+        factored.  A factorization is held weakly, keyed by (kind, shift):
+        every caller asking while another object still holds it gets the
+        same factors, and it is freed with its last holder, so a
+        long-lived system accumulates nothing.
         """
+        row = _SADDLE_KINDS.get(kind)
+        if row is None:
+            raise DimensionMismatch(f"unknown saddle kind {kind!r}")
+        if row.takes_shift != (shift is not None):
+            need = "needs a shift" if row.takes_shift else "takes no shift"
+            raise DimensionMismatch(f"saddle kind {kind!r} {need}, got {shift!r}")
         key = (kind, shift)
         fact = self._factors.get(key)
         if fact is None:
-            if kind == "mass":
-                W = self.M
-            elif kind == "stiffness":
-                W = self.A
-            elif kind == "shifted":
-                W = (shift * self.M - self.A).tocsc()
-            elif kind == "euler":
-                W = (self.M - shift * self.A).tocsc()
-            elif kind == "identity":
-                W = sp.identity(self.n_v, format="csc")
-            else:
-                raise DimensionMismatch(f"unknown saddle kind {kind!r}")
+            W = row.block(self, shift)
             fact = kernels.factor_saddle(W, self.G, kind=kind, shift=shift)
             self._factors[key] = fact
         return fact
@@ -156,6 +170,27 @@ def _read_matrix(path, key, dense=False):
     return mat
 
 
+def _write_matrix(path, mat):
+    """Matrix Market file of ``mat`` that ``_read_matrix`` reads back exactly."""
+    sio.mmwrite(path, mat, precision=DIGITS)
+
+
+def _csv_field(value):
+    return f"{value:.{DIGITS}g}" if isinstance(value, (float, np.floating)) else value
+
+
+def write_csv(path, header, rows):
+    """CSV artifact: ``header``, then one line per row of ``rows``.
+
+    Floats are written with ``DIGITS`` significant digits, so a read
+    round-trips them; anything else (an iteration number) as it is.
+    """
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows([_csv_field(v) for v in row] for row in rows)
+
+
 def load_system(paths, validate=True):
     """Assemble a DescriptorSystem from per-matrix Matrix Market files.
 
@@ -227,19 +262,12 @@ def load_bundle(manifest_path, validate=True):
 def write_system(sys_, directory):
     """Write the five matrices plus a manifest; returns the manifest path.
 
-    Values are serialized with 17 significant digits so a load round-trips
-    the entries exactly.
+    Each matrix is written by ``_write_matrix``, so a load round-trips the
+    entries exactly.
     """
     os.makedirs(directory, exist_ok=True)
-    files = {
-        "M": sys_.M,
-        "A": sys_.A,
-        "G": sys_.G,
-        "B": sys_.B,
-        "C": sys_.C,
-    }
-    for key, mat in files.items():
-        sio.mmwrite(os.path.join(directory, f"{key}.mtx"), mat, precision=17)
+    for key in _MATRIX_KEYS:
+        _write_matrix(os.path.join(directory, f"{key}.mtx"), getattr(sys_, key))
     manifest = os.path.join(directory, MANIFEST_NAME)
     with open(manifest, "w") as f:
         for key in _MATRIX_KEYS:
@@ -318,10 +346,7 @@ def _gradient_pattern(n_v, n_p, grid=None):
     rows, cols, vals = [], [], []
     if grid is not None:
         nx, ny = grid.nx, grid.ny
-        anchors = []
-        for j in range(ny // 2):
-            for i in range(nx // 2):
-                anchors.append((2 * i) * ny + (2 * j))
+        anchors = [2 * i * ny + 2 * j for j in range(ny // 2) for i in range(nx // 2)]
         if len(anchors) < n_p:
             raise InfeasibleSpec(
                 f"grid {nx} x {ny} admits at most {len(anchors)} pressure nodes"

@@ -479,6 +479,7 @@ class TestErrorsAndConfig:
             (["simulate", "--input", "const:a"], None, "ParseError"),
             (["simulate", "--input", "const:1,2,3"], None, "DimensionMismatch"),
             (["verify"], "abc", "ParseError"),
+            (["simulate", "--h", "1e-300", "--horizon", "1"], None, "DimensionMismatch"),
         ],
     )
     def test_bad_input_is_single_line_error(

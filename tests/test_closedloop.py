@@ -116,6 +116,18 @@ class TestSmwSolve:
         with pytest.raises(DimensionMismatch):
             cl60.solver("mass")
 
+    @pytest.mark.parametrize(
+        "kind, shift",
+        [("stiffness", 5.0), ("euler", None), ("shifted", None), ("identity", None),
+         ("bogus", None)],
+    )
+    def test_block_without_a_or_with_a_bad_shift_rejected(
+        self, cl60, kinds, kind, shift
+    ):
+        with pytest.raises(DimensionMismatch):
+            cl60.solver(kind, shift)
+        assert kinds == []
+
     def test_singular_capture_detected(self, sys60u):
         sys_ = generate_synthetic(SyntheticSpec(40, 5, n_b=1, n_c=1, seed=2))
         fact = kernels.factor_saddle(sys_.A, sys_.G, kind="stiffness")
@@ -250,7 +262,10 @@ class TestSimulateDae:
 
     @pytest.mark.parametrize(
         "h, t_end",
-        [(np.inf, 1.0), (np.nan, 1.0), (0.1, np.inf), (0.1, np.nan), (10.0, 1.0)],
+        [
+            (np.inf, 1.0), (np.nan, 1.0), (0.1, np.inf), (0.1, np.nan), (10.0, 1.0),
+            (1e-300, 1.0), (1e-320, 1.0),
+        ],
     )
     def test_non_finite_or_stepless_run_rejected(self, sys60, kinds, h, t_end):
         with pytest.raises(DimensionMismatch):

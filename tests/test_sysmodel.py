@@ -7,7 +7,12 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from ekstab import oracle
-from ekstab.errors import InfeasibleSpec, ParseError, ValidationError
+from ekstab.errors import (
+    DimensionMismatch,
+    InfeasibleSpec,
+    ParseError,
+    ValidationError,
+)
 from ekstab.sysmodel import (
     DescriptorSystem,
     GridSpec,
@@ -230,3 +235,17 @@ class TestStencilGenerator:
         spec = SyntheticSpec(1600, 100, seed=3, grid=GridSpec(40, 40))
         rows = generate_synthetic(spec).G.tocoo().row
         assert np.max(rows % spec.grid.ny) >= 30
+
+
+class TestSaddleKinds:
+    @pytest.mark.parametrize(
+        "kind, shift",
+        [("mass", 5.0), ("stiffness", 5.0), ("identity", 5.0), ("shifted", None),
+         ("euler", None), ("bogus", None)],
+    )
+    def test_bad_kind_or_shift_rejected_before_factoring(
+        self, sys60, kinds, kind, shift
+    ):
+        with pytest.raises(DimensionMismatch):
+            sys60.saddle(kind, shift)
+        assert kinds == []
