@@ -34,29 +34,18 @@ ADJOINT = "adjoint"
 class OperatorPair:
     """Saddle-solve realization of the projected operator pair.
 
-    Forward mode operates with (A, B), adjoint mode with (A^T, C^T).  A
-    feedback ``gain`` K (forward mode) replaces A by A - B K, solved
-    through a rank-n_b SMW update of the uncorrected factorization.  The
+    Forward mode operates with (A, B), adjoint mode with (A^T, C^T).  The
     factorizations come from the system's shared saddle cache on first
     use; adjoint mode solves with the transposed forward stiffness
-    factors.
+    factors.  ``k_matrix`` is None: only a closed loop carries a gain.
     """
 
-    def __init__(self, sys_, adjoint=False, gain=None):
+    k_matrix = None
+
+    def __init__(self, sys_, adjoint=False):
         self.sys = sys_
         self.adjoint = adjoint
-        self.gain = gain
         self.start = np.asarray(sys_.C.T if adjoint else sys_.B, dtype=float)
-        self.k_matrix = None
-        if gain is not None:
-            if adjoint:
-                raise ModeMismatch("a feedback gain needs a forward-mode pair")
-            if gain.n_v != sys_.n_v or gain.n_b != sys_.n_b:
-                raise DimensionMismatch(
-                    f"gain is {gain.n_b} x {gain.n_v}, system needs "
-                    f"{sys_.n_b} x {sys_.n_v}"
-                )
-            self.k_matrix = gain.matrix()
 
     @cached_property
     def fact_mass(self):
@@ -92,12 +81,8 @@ class OperatorPair:
         return self.solver("stiffness")
 
     def apply(self, X):
-        """Matrix product with A^T, A or A - B K."""
-        if self.adjoint:
-            return self.sys.A.T @ X
-        if self.k_matrix is None:
-            return self.sys.A @ X
-        return self.sys.A @ X - self.sys.B @ (self.k_matrix @ X)
+        """Matrix product with A^T (adjoint mode) or A."""
+        return (self.sys.A.T if self.adjoint else self.sys.A) @ X
 
     def apply_mass(self, X):
         return self.sys.M @ X
@@ -272,13 +257,16 @@ def ekba_init(source, mode=FORWARD):
     mass-block solve runs on the worker thread while the caller does the
     stiffness-block solve, so their first-use factorizations overlap;
     when both fail, the mass block's error is raised.  A prebuilt pair
-    must already run in direction ``mode``.
+    must already run in direction ``mode`` and carry no gain: a closed
+    loop is reduced on its open-loop basis (``reduce_closed_loop``).
     """
     if mode not in (FORWARD, ADJOINT):
         raise ModeMismatch(f"unknown Arnoldi mode {mode!r}")
     ops = as_pair(source, adjoint=(mode == ADJOINT))
     if ops.adjoint != (mode == ADJOINT):
         raise ModeMismatch(f"mode {mode!r} differs from the direction of the pair")
+    if ops.k_matrix is not None:
+        raise ModeMismatch("the Arnoldi process takes an open-loop pair, not a gain")
     s = ops.start
     v1, v2 = _overlapped(lambda: ops.solve_mass(s), lambda: ops.solve_stiff(s))
     first = np.column_stack([v1, v2])

@@ -23,6 +23,7 @@ from .arnoldi import ekba_basis
 from .closedloop import (
     ClosedLoopSystem,
     read_input_csv,
+    reduce_closed_loop,
     simulate_dae,
     simulate_reduced,
     step_input,
@@ -89,11 +90,13 @@ def _check_knobs(args, actions):
     for name, action in actions.items():
         if action.type is float and not math.isfinite(getattr(args, name)):
             raise ValidationError(f"config: {name} must be finite")
+    # simulate --m 0 means the full model only; the other commands reduce.
+    m_min = 0 if args.command == "simulate" else 1
     checks = (
         ("tol", lambda v: v > 0.0, "tol must be positive"),
         ("dtol", lambda v: v > 0.0, "dtol must be positive"),
         ("mmax", lambda v: v >= 1, "mmax must be >= 1"),
-        ("m", lambda v: v >= 0, "m must be nonnegative"),
+        ("m", lambda v: v >= m_min, f"m must be >= {m_min}"),
         ("points", lambda v: v >= 2, "points must be >= 2"),
         ("wlo", lambda v: v > 0.0, "wlo must be positive"),
         ("h", lambda v: v > 0.0, "h must be positive"),
@@ -170,19 +173,19 @@ def _cmd_reduce(args, sys_):
     return 0, {"order": model.order, "breakdown_at": basis.breakdown_at}
 
 
-def _reduce_and_sweep(args, target, csv_name):
-    """Reduce ``target`` with ``--m`` Arnoldi steps, sweep it, write ``csv_name``."""
-    model = build_reduced(ekba_basis(target, args.m), STATE_SPACE)
+def _sweep(args, target, model, csv_name):
+    """Sweep ``target`` against ``model`` and write ``csv_name``."""
     sweep = frequency_sweep(
         target, model, w_lo=args.wlo, w_hi=args.whi, n_points=args.points
     )
     csv_path = _out(args, csv_name)
     write_sweep_csv(csv_path, sweep)
-    return model, sweep, csv_path
+    return sweep, csv_path
 
 
 def _cmd_bode(args, sys_):
-    model, sweep, csv_path = _reduce_and_sweep(args, sys_, "sweep.csv")
+    model = build_reduced(ekba_basis(sys_, args.m))
+    sweep, csv_path = _sweep(args, sys_, model, "sweep.csv")
     print(f"sweep written to {csv_path} (hinf sample {sweep.hinf_sample:.6e})")
     return 0, {
         "order": model.order,
@@ -226,7 +229,8 @@ def _cmd_riccati(args, sys_):
 def _cmd_stabilize(args, sys_):
     solution, gain, status, fields = _riccati_gain(args, sys_)
     cl = ClosedLoopSystem(sys_, gain)
-    model, sweep, _ = _reduce_and_sweep(args, cl, "closedloop_sweep.csv")
+    _, model = reduce_closed_loop(cl, args.m)
+    sweep, _ = _sweep(args, cl, model, "closedloop_sweep.csv")
     # Held until here: the Riccati basis holds the mass, stiffness and
     # identity factors, which the closed-loop reduction shares.
     del solution
@@ -246,21 +250,20 @@ def _cmd_simulate(args, sys_):
     target = sys_
     if args.gain:
         k = _read_matrix(args.gain, "K", dense=True)
-        target = ClosedLoopSystem(
-            sys_, FeedbackGain(left=np.eye(k.shape[0]), right=k)
-        )
+        target = ClosedLoopSystem(sys_, FeedbackGain(left=np.eye(k.shape[0]), right=k))
     u = _parse_input_spec(args.input, sys_.n_b)
     traj = simulate_dae(target, u, h=args.h, t_end=args.horizon)
     csv_path = _out(args, "trajectory.csv")
     write_trajectory_csv(csv_path, traj)
     reduced_err = None
     if args.m:
-        model = build_reduced(ekba_basis(target, args.m), STATE_SPACE)
+        if args.gain:
+            _, model = reduce_closed_loop(target, args.m)
+        else:
+            model = build_reduced(ekba_basis(sys_, args.m))
         red = simulate_reduced(model, u, h=args.h, t_end=args.horizon)
         write_trajectory_csv(_out(args, "trajectory_reduced.csv"), red)
-        reduced_err = float(
-            np.max(np.linalg.norm(traj.outputs - red.outputs, axis=1))
-        )
+        reduced_err = float(np.max(np.linalg.norm(traj.outputs - red.outputs, axis=1)))
     print(f"trajectory written to {csv_path}")
     return 0, {"steps": len(traj.times) - 1, "max_output_error": reduced_err}
 

@@ -1,15 +1,14 @@
 """Stabilized-system machinery: closed-loop reduction and simulation.
 
-The feedback-corrected saddle problems [[W - c B K, G], [G^T, 0]] are
-solved with the factorization of the uncorrected block plus a rank-n_b
-Sherman-Morrison-Woodbury update (``OperatorPair.solver``), so the dense
-product B K is never assembled.  The same solves drive the closed-loop
-Arnoldi reduction and the implicit-Euler time stepping of the index-2
-DAE.
+The closed loop A - B K is a rank-n_b update of the open loop.  It is
+reduced on the open-loop Arnoldi basis, and its saddle problems
+[[W - c B K, G], [G^T, 0]] are solved with the factorization of the
+uncorrected block plus a rank-n_b Sherman-Morrison-Woodbury update
+(``OperatorPair.solver``), so the dense product B K is never assembled.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -30,13 +29,20 @@ from .sysmodel import write_csv
 class ClosedLoopSystem(OperatorPair):
     """Descriptor system with a low-rank LQR feedback A -> A - B K.
 
-    The forward operator pair of the stabilized system.  Every factor
-    and SMW corrector is built on first use, so a singular capture
-    matrix is reported by the first solve that needs it.
+    The forward pair carrying ``gain`` and its matrix ``k_matrix``: its
+    saddle solves are those of A - B K, each SMW corrector built on first
+    use, but its products are the open-loop ones, so ``ekba_init``
+    refuses it and ``reduce_closed_loop`` reduces it.
     """
 
     def __init__(self, sys_, gain):
-        super().__init__(sys_, gain=gain)
+        if (gain.n_b, gain.n_v) != (sys_.n_b, sys_.n_v):
+            raise DimensionMismatch(
+                f"gain is {gain.n_b} x {gain.n_v}, system needs {sys_.n_b} x {sys_.n_v}"
+            )
+        super().__init__(sys_)
+        self.gain = gain
+        self.k_matrix = gain.matrix()
 
     def euler_corrector(self, h):
         """Solve function for M - h (A - B K)  =  (M - h A) + h B K."""
@@ -46,11 +52,14 @@ class ClosedLoopSystem(OperatorPair):
 def reduce_closed_loop(cl, m, form=STATE_SPACE):
     """Extended Arnoldi reduction of the stabilized system.
 
-    Identical to the open-loop process with A replaced by A - B K
-    everywhere; returns the basis and the reduced model.
+    K acts only through span B, so the basis is the open-loop one: (A - B K)
+    B lies in span{B, A B} and (A - B K)^-1 B = A^-1 B (I - K A^-1 B)^-1.
+    Returns it and the open-loop model with a <- a - b (K V), in either form.
     """
-    basis = ekba_basis(cl, m, FORWARD)
-    return basis, build_reduced(basis, form)
+    basis = ekba_basis(cl.sys, m, FORWARD)
+    model = build_reduced(basis, form)
+    kv = cl.k_matrix @ basis.V(basis.steps)
+    return basis, replace(model, a=model.a - model.b @ kv)
 
 
 def constant_input(values):

@@ -63,8 +63,8 @@ def build_reduced(basis, form=STATE_SPACE, order=None):
     The state-space form uses the leading square block of the
     projected-operator Hessenberg matrix, the triangular projected input
     map, and C V.  The generalized form uses congruence projections
-    V^T M V, V^T A V (the operator in effect, so a feedback-corrected
-    pair projects consistently), V^T B and C V.
+    V^T M V, V^T A V, V^T B and C V.  A closed loop is reduced from the
+    same open-loop basis (``closedloop.reduce_closed_loop``).
     """
     if basis.mode != FORWARD:
         raise ModeMismatch(

@@ -292,6 +292,15 @@ class TestBode:
         assert err == ["error: ValidationError: config: wlo must be positive"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["reduce", "bode", "stabilize"])
+    def test_order_zero_is_single_line_error(self, bundle, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        rc = main([command, "--bundle", str(bundle), "--m", "0", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: ValidationError: config: m must be >= 1"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["bode", "stabilize"])
     def test_manifest_records_sweep_workers(
         self, bundle, tmp_path, monkeypatch, command

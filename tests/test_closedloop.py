@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
 
 from ekstab import kernels, oracle
-from ekstab.arnoldi import FORWARD, ekba_basis
+from ekstab.arnoldi import FORWARD, ekba_basis, ekba_init
 from ekstab.closedloop import (
     ClosedLoopSystem,
     constant_input,
@@ -21,12 +22,13 @@ from ekstab.closedloop import (
 from ekstab.errors import (
     DimensionMismatch,
     InvalidInitialState,
+    ModeMismatch,
     SimulationDiverged,
     SingularCapture,
 )
-from ekstab.reduction import build_reduced
+from ekstab.reduction import GENERALIZED, STATE_SPACE, build_reduced, eval_reduced_tf
 from ekstab.riccati import FeedbackGain, ebara_solve, feedback_gain
-from ekstab.sysmodel import SyntheticSpec, Unstable, generate_synthetic
+from ekstab.sysmodel import DescriptorSystem, SyntheticSpec, Unstable, generate_synthetic
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +176,51 @@ class TestReduceClosedLoop:
         )
         sweep = frequency_sweep(closed_sys, model, n_points=40)
         assert np.nanmax(sweep.errors) <= 1e-6
+
+    @pytest.mark.parametrize("form", [STATE_SPACE, GENERALIZED])
+    @pytest.mark.parametrize("m", [3, 10])
+    def test_matches_arnoldi_on_explicit_closed_loop(self, sys60u, cl60, m, form):
+        # The reference runs the process on A - B K assembled explicitly.
+        explicit = DescriptorSystem(
+            M=sys60u.M,
+            A=sp.csc_matrix(sys60u.A.toarray() - sys60u.B @ cl60.k_matrix),
+            G=sys60u.G,
+            B=sys60u.B,
+            C=sys60u.C,
+        )
+        ref = build_reduced(ekba_basis(explicit, m, FORWARD), form)
+        _, model = reduce_closed_loop(cl60, m, form)
+        for w in np.logspace(-3, 3, 5):
+            f = eval_reduced_tf(ref, 1j * w)
+            g = eval_reduced_tf(model, 1j * w)
+            assert la.norm(g - f, 2) <= 1e-10 * la.norm(f, 2)
+
+    def test_runs_the_open_loop_process(self, sys60u, gain60, monkeypatch):
+        solves = []
+        real = kernels.solve_saddle
+
+        def counting(*args, **kwargs):
+            solves.append(args[0].kind)
+            return real(*args, **kwargs)
+
+        def no_corrector(*args, **kwargs):
+            raise AssertionError("closed-loop reduction built an SMW corrector")
+
+        monkeypatch.setattr(kernels, "solve_saddle", counting)
+        monkeypatch.setattr(kernels, "SmwCorrector", no_corrector)
+        cl = ClosedLoopSystem(sys60u, gain60)
+        reduce_closed_loop(cl, 4)
+        closed = sorted(solves)
+        solves.clear()
+        ekba_basis(cl.sys, 4, FORWARD)
+        assert closed == sorted(solves)
+
+    @pytest.mark.parametrize(
+        "build", [ekba_init, lambda cl: ekba_basis(cl, 2)], ids=["init", "basis"]
+    )
+    def test_arnoldi_refuses_a_pair_with_a_gain(self, cl60, build):
+        with pytest.raises(ModeMismatch):
+            build(cl60)
 
 
 class TestSharedFactors:

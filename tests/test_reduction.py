@@ -8,7 +8,7 @@ import scipy.sparse as sp
 
 from ekstab import oracle
 from ekstab.arnoldi import ADJOINT, FORWARD, ekba_basis
-from ekstab.closedloop import ClosedLoopSystem
+from ekstab.closedloop import ClosedLoopSystem, reduce_closed_loop
 from ekstab.errors import DimensionMismatch, ModeMismatch, SingularShift
 from ekstab.reduction import (
     GENERALIZED,
@@ -69,11 +69,11 @@ def _assert_same_sweep(a, b):
 @pytest.fixture(params=["open_loop", "closed_loop"])
 def swept(request, sys60):
     """A system and a reduced model of it, open loop or with a feedback gain."""
-    system = sys60
     if request.param == "closed_loop":
         gain = FeedbackGain(left=np.eye(sys60.n_b), right=0.5 * sys60.B.T)
         system = ClosedLoopSystem(sys60, gain)
-    return system, build_reduced(ekba_basis(system, 3, FORWARD), STATE_SPACE)
+        return system, reduce_closed_loop(system, 3)[1]
+    return sys60, build_reduced(ekba_basis(sys60, 3, FORWARD), STATE_SPACE)
 
 
 class TestBuildReduced:
