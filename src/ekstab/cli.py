@@ -3,7 +3,7 @@
 Subcommands wire generate/ingest -> reduce -> sweep -> Riccati ->
 stabilize -> simulate.  Each is a function ``(args, sys_) -> (exit
 status, manifest fields)``; ``main`` applies the config file (flags
-win), checks the knobs, loads ``--bundle``, times the command and writes
+given win), checks the knobs, loads ``--bundle``, times the command and writes
 ``run_manifest.json``.  Artifacts go into ``--out``, created on first
 use.  Numeric artifacts are deterministic for a fixed seed and
 configuration.
@@ -52,27 +52,27 @@ from .sysmodel import (
 )
 
 
-def _apply_config(args, actions):
-    """Fill argparse namespace from the config file where flags kept defaults.
+def _config_defaults(path, actions):
+    """The config file's values for the command's flags, by destination.
 
     Each value is converted with its flag's own argparse ``type`` and
-    checked against its ``choices``.
+    checked against its ``choices``; keys that name no flag of the
+    command are ignored.
     """
-    if not getattr(args, "config", None):
-        return args
-    for key, raw in read_key_values(args.config, "config").items():
+    defaults = {}
+    for key, raw in read_key_values(path, "config").items():
         key = key.replace("-", "_")
         action = actions.get(key)
-        if action is None or getattr(args, key) != action.default:
-            continue  # not a flag of this command, or an explicit flag wins
+        if action is None:
+            continue
         try:
             value = action.type(raw) if action.type else raw
         except ValueError as exc:
             raise ParseError(f"config {key} = {raw!r}: {exc}") from exc
         if action.choices is not None and value not in action.choices:
             raise ParseError(f"config {key} = {raw!r}: not one of {action.choices}")
-        setattr(args, key, value)
-    return args
+        defaults[key] = value
+    return defaults
 
 
 def _out(args, name):
@@ -183,6 +183,11 @@ def _sweep(args, target, model, csv_name):
     return sweep, csv_path
 
 
+def _max_real(model):
+    """Largest real part of the reduced state-space model's spectrum."""
+    return float(np.linalg.eigvals(model.a).real.max())
+
+
 def _cmd_bode(args, sys_):
     model = build_reduced(ekba_basis(sys_, args.m))
     sweep, csv_path = _sweep(args, sys_, model, "sweep.csv")
@@ -229,12 +234,13 @@ def _cmd_riccati(args, sys_):
 def _cmd_stabilize(args, sys_):
     solution, gain, status, fields = _riccati_gain(args, sys_)
     cl = ClosedLoopSystem(sys_, gain)
-    _, model = reduce_closed_loop(cl, args.m)
-    sweep, _ = _sweep(args, cl, model, "closedloop_sweep.csv")
-    # Held until here: the Riccati basis holds the mass, stiffness and
-    # identity factors, which the closed-loop reduction shares.
+    model = reduce_closed_loop(cl, args.m)[1]
+    # Held through the reduction, which shares the mass, stiffness and
+    # identity factors of the Riccati basis; the sweep reads neither basis.
     del solution
+    sweep, _ = _sweep(args, cl, model, "closedloop_sweep.csv")
     fields["reduced_order"] = model.order
+    fields["reduced_max_real"] = _max_real(model)
     fields["sweep_workers"] = sweep.workers
     if sys_.n_v <= oracle.size_cap():
         spectrum = oracle.pencil_finite_spectrum(sys_, gain)
@@ -255,17 +261,19 @@ def _cmd_simulate(args, sys_):
     traj = simulate_dae(target, u, h=args.h, t_end=args.horizon)
     csv_path = _out(args, "trajectory.csv")
     write_trajectory_csv(csv_path, traj)
-    reduced_err = None
+    fields = dict(steps=len(traj.times) - 1, max_output_error=None, reduced_max_real=None)
     if args.m:
         if args.gain:
-            _, model = reduce_closed_loop(target, args.m)
+            model = reduce_closed_loop(target, args.m)[1]
         else:
             model = build_reduced(ekba_basis(sys_, args.m))
         red = simulate_reduced(model, u, h=args.h, t_end=args.horizon)
         write_trajectory_csv(_out(args, "trajectory_reduced.csv"), red)
-        reduced_err = float(np.max(np.linalg.norm(traj.outputs - red.outputs, axis=1)))
+        errors = np.linalg.norm(traj.outputs - red.outputs, axis=1)
+        fields["max_output_error"] = float(errors.max())
+        fields["reduced_max_real"] = _max_real(model)
     print(f"trajectory written to {csv_path}")
-    return 0, {"steps": len(traj.times) - 1, "max_output_error": reduced_err}
+    return 0, fields
 
 
 def _cmd_verify(args, sys_):
@@ -394,7 +402,10 @@ def main(argv=None):
         if action.dest != "help"
     }
     try:
-        args = _apply_config(args, actions)
+        if getattr(args, "config", None):
+            # Parsed again over the config as defaults: every flag given wins.
+            command_parser.set_defaults(**_config_defaults(args.config, actions))
+            args = parser.parse_args(argv)
         _check_knobs(args, actions)
         sys_ = load_bundle(args.bundle) if "bundle" in actions else None
         t0 = time.perf_counter()

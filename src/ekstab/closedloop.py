@@ -29,10 +29,10 @@ from .sysmodel import write_csv
 class ClosedLoopSystem(OperatorPair):
     """Descriptor system with a low-rank LQR feedback A -> A - B K.
 
-    The forward pair carrying ``gain`` and its matrix ``k_matrix``: its
-    saddle solves are those of A - B K, each SMW corrector built on first
-    use, but its products are the open-loop ones, so ``ekba_init``
-    refuses it and ``reduce_closed_loop`` reduces it.
+    The forward pair carrying ``gain``, whose n_b x n_v array is
+    ``k_matrix`` itself.  Its saddle solves are those of A - B K, each SMW
+    corrector built on first use, but its products are the open-loop
+    ones, so ``ekba_init`` refuses it and ``reduce_closed_loop`` reduces it.
     """
 
     def __init__(self, sys_, gain):

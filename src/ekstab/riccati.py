@@ -5,7 +5,7 @@ solves the projected low-dimensional Riccati equation densely at each
 order, and monitors the residual of the full equation through the cheap
 continuation-block formula, so the large solution is never formed.  At
 convergence the reduced solution is truncated to a low-rank factor and
-the LQR feedback gain is assembled as a pair of skinny factors.
+the LQR feedback gain is formed as the n_b x n_v matrix B^T Z Z^T M.
 """
 
 from dataclasses import dataclass, field
@@ -158,31 +158,20 @@ def truncate_lowrank(y, basis, dtol, order=None):
     return v @ (u[:, :r] * np.sqrt(s[:r]))
 
 
-@dataclass(frozen=True)
 class FeedbackGain:
-    """LQR gain K = B^T Z Z^T M stored as the skinny pair (B^T Z, Z^T M)."""
+    """LQR gain K = (B^T Z)(Z^T M), kept only as its n_b x n_v array and Z's rank."""
 
-    left: np.ndarray
-    right: np.ndarray
-
-    @property
-    def n_b(self):
-        return self.left.shape[0]
-
-    @property
-    def n_v(self):
-        return self.right.shape[1]
-
-    @property
-    def rank(self):
-        return self.left.shape[1]
+    def __init__(self, left, right):
+        self._k = left @ right
+        self.rank = left.shape[1]
+        self.n_b, self.n_v = self._k.shape
 
     def matrix(self):
-        return self.left @ self.right
+        return self._k
 
 
 def feedback_gain(z, sys_):
-    """Assemble the feedback factors from a low-rank Riccati factor."""
+    """Form the feedback gain from a low-rank Riccati factor."""
     z = np.asarray(z, dtype=float)
     return FeedbackGain(left=sys_.B.T @ z, right=(sys_.M @ z).T)
 

@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import weakref
 import shutil
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import scipy.io as sio
 import scipy.sparse as sp
 
 import ekstab
+from ekstab import cli
 from ekstab.cli import build_parser, main
 from ekstab.sysmodel import load_bundle
 
@@ -48,6 +51,7 @@ MANIFEST_TYPES = {
     "closed_loop_max_real": (float,),
     "steps": (int,),
     "max_output_error": (float, type(None)),
+    "reduced_max_real": (float, type(None)),
 }
 
 # {command: {dest: (default, type, required, choices)}} of every flag.
@@ -129,6 +133,18 @@ FLOAT_FLAGS = [
 
 def _with_bundle(argv, bundle):
     return argv if argv[0] == "gen" else argv + ["--bundle", str(bundle)]
+
+
+def _on_return(monkeypatch, name, seen):
+    """Wrap ``cli.<name>`` so that ``seen`` is called with every result."""
+    real = getattr(cli, name)
+
+    def wrapped(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen(out)
+        return out
+
+    monkeypatch.setattr(cli, name, wrapped)
 
 
 @pytest.fixture(scope="module")
@@ -334,6 +350,34 @@ class TestStabilize:
         assert rc == 0
         assert sorted(kinds) == ["identity", "mass"] + ["shifted"] * 4 + ["stiffness"]
 
+    def test_sweep_holds_nothing_of_the_earlier_stages(
+        self, bundle, tmp_path, monkeypatch
+    ):
+        refs = {}
+
+        def hold(**objects):
+            refs.update((name, weakref.ref(obj)) for name, obj in objects.items())
+
+        _on_return(monkeypatch, "ebara_solve", lambda s: hold(basis=s.basis, z=s.z))
+        _on_return(monkeypatch, "reduce_closed_loop", lambda r: hold(reduction=r[0]))
+        alive = []
+        sweep = cli.frequency_sweep
+
+        def looking(system, *args, **kwargs):
+            gc.collect()
+            alive.extend(name for name, ref in refs.items() if ref() is not None)
+            alive.extend(kind for kind, _ in system.sys._factors.keys())
+            return sweep(system, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "frequency_sweep", looking)
+        rc = main(
+            ["stabilize", "--bundle", str(bundle), "--m", "4", "--points", "4",
+             "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        assert sorted(refs) == ["basis", "reduction", "z"]
+        assert alive == []
+
     def test_exactness_error_column(self, bundle, tmp_path):
         rc = main(
             ["stabilize", "--bundle", str(bundle), "--m", "13", "--points", "40",
@@ -365,6 +409,32 @@ class TestSimulate:
         assert (sim / "trajectory_reduced.csv").exists()
         payload = json.loads((sim / "run_manifest.json").read_text())
         assert payload["max_output_error"] <= 1e-6
+
+
+    def test_manifest_records_the_reduced_spectral_abscissa(
+        self, bundle, tmp_path, monkeypatch
+    ):
+        models = []
+        _on_return(monkeypatch, "reduce_closed_loop", lambda r: models.append(r[1]))
+        _on_return(monkeypatch, "build_reduced", models.append)
+        stab = tmp_path / "stab"
+        runs = [
+            ["stabilize", "--m", "2", "--points", "5", "--out", str(stab)],
+            ["simulate", "--gain", str(stab / "K.mtx"), "--m", "2", "--horizon", "1",
+             "--out", str(tmp_path / "simk")],
+            ["simulate", "--m", "2", "--horizon", "1", "--out", str(tmp_path / "sim")],
+            ["simulate", "--horizon", "1", "--out", str(tmp_path / "full")],
+        ]
+        for argv in runs:
+            models.clear()
+            assert main(argv + ["--bundle", str(bundle)]) == 0
+            payload = json.loads((Path(argv[-1]) / "run_manifest.json").read_text())
+            if models:
+                (model,) = models
+                expected = float(np.linalg.eigvals(model.a).real.max())
+                assert payload["reduced_max_real"] == expected
+            else:
+                assert payload["reduced_max_real"] is None
 
 
 class TestVerify:
@@ -462,6 +532,27 @@ class TestErrorsAndConfig:
         ) == 0
         rows = (out2 / "sweep.csv").read_text().splitlines()[1:]
         assert len(rows) == 5  # explicit flag wins
+
+    @pytest.mark.parametrize(
+        "command, flag, dest, line, given",
+        [
+            ("reduce", "--m", "m", "m = 3", 20),
+            ("bode", "--points", "points", "points = 15", 200),
+            ("bode", "--poi", "points", "points = 15", 200),
+        ],
+    )
+    def test_explicit_flag_equal_to_its_default_wins(
+        self, bundle, tmp_path, command, flag, dest, line, given
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert build_parser().subcommands.choices[command].get_default(dest) == given
+        out = tmp_path / "o"
+        argv = [command, "--bundle", str(bundle), "--config", str(cfg),
+                flag, str(given), "--out", str(out)]
+        assert main(argv + (["--m", "2"] if command == "bode" else [])) == 0
+        payload = json.loads((out / "run_manifest.json").read_text())
+        assert payload["config"][dest] == given
 
     def test_config_value_takes_the_flag_type(self, bundle, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

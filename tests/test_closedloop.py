@@ -140,6 +140,11 @@ class TestSmwSolve:
             ClosedLoopSystem(sys_, gain).solve_stiff(sys_.B)
 
 
+class TestClosedLoopSystem:
+    def test_k_matrix_is_the_gain_array(self, sys60u, gain60):
+        assert ClosedLoopSystem(sys60u, gain60).k_matrix is gain60.matrix()
+
+
 class TestReduceClosedLoop:
     def test_zero_gain_matches_open_loop(self, sys60u):
         zero_gain = FeedbackGain(

@@ -199,6 +199,19 @@ class TestFeedbackGain:
         assert la.norm(gain.matrix() - ref, 2) <= 1e-13 * max(1.0, la.norm(ref, 2))
         assert gain.matrix().shape == (sys60u.n_b, sys60u.n_v)
 
+    def test_holds_only_the_gain_matrix(self, sys60u):
+        z = ebara_solve(sys60u, tol=1e-8).z
+        gain = feedback_gain(z, sys60u)
+        held = [
+            v
+            for v in vars(gain).values()
+            if isinstance(v, np.ndarray) and sys60u.n_v in v.shape
+        ]
+        assert len(held) == 1 and held[0] is gain.matrix()
+        assert gain.matrix() is gain.matrix()
+        assert np.array_equal(gain.matrix(), (sys60u.B.T @ z) @ (sys60u.M @ z).T)
+        assert (gain.n_b, gain.n_v, gain.rank) == (sys60u.n_b, sys60u.n_v, z.shape[1])
+
     def test_closed_loop_pencil_stable(self, sys60u):
         sol = ebara_solve(sys60u, tol=1e-8)
         gain = feedback_gain(sol.z, sys60u)
