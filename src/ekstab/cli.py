@@ -183,6 +183,15 @@ def _sweep(args, target, model, csv_name):
     return sweep, csv_path
 
 
+def _sweep_fields(sweep):
+    """Manifest fields on how the sweep was computed."""
+    return {
+        "sweep_workers": sweep.workers,
+        "sweep_factorizations": sweep.factorizations,
+        "sweep_fallbacks": sweep.fallbacks,
+    }
+
+
 def _max_real(model):
     """Largest real part of the reduced state-space model's spectrum."""
     return float(np.linalg.eigvals(model.a).real.max())
@@ -196,7 +205,7 @@ def _cmd_bode(args, sys_):
         "order": model.order,
         "hinf_sample": sweep.hinf_sample,
         "skipped_points": sweep.skipped,
-        "sweep_workers": sweep.workers,
+        **_sweep_fields(sweep),
     }
 
 
@@ -241,7 +250,7 @@ def _cmd_stabilize(args, sys_):
     sweep, _ = _sweep(args, cl, model, "closedloop_sweep.csv")
     fields["reduced_order"] = model.order
     fields["reduced_max_real"] = _max_real(model)
-    fields["sweep_workers"] = sweep.workers
+    fields.update(_sweep_fields(sweep))
     if sys_.n_v <= oracle.size_cap():
         spectrum = oracle.pencil_finite_spectrum(sys_, gain)
         fields["closed_loop_max_real"] = float(spectrum.real.max())

@@ -39,8 +39,9 @@ from .errors import (
 RANK_TOL = 1e-12
 # Kahan-Parlett style norm-drop ratio triggering one extra Gram-Schmidt pass.
 REORTH_RATIO = 0.7
-# |u_ii| / max_j |u_jj| below this flags the factored saddle as singular.
-PIVOT_RATIO = 1e-13
+# Relative forward error of the factors' solve of K x = K z, for a fixed z,
+# above which the factored saddle is flagged singular.
+SOLVE_CHECK_TOL = 1e-3
 # Condition-number cap of the SMW capture matrix.
 CAPTURE_COND_CAP = 1e12
 # The one SuperLU setting used for every saddle factorization.
@@ -60,7 +61,8 @@ class SaddleFactorization:
     shifted blocks.  The factors are those of
     [[W, scale G], [scale G^T, 0]], ordered by ``ordering``; the velocity
     rows of a solve do not depend on ``scale``.  The n_p = 0 degenerate
-    case factors W alone.
+    case factors W alone.  ``dtype`` is the factors' dtype, read without
+    building SuperLU's copies of L and U.
     """
 
     kind: str
@@ -69,11 +71,12 @@ class SaddleFactorization:
     shift: complex | None = None
     scale: float = 1.0
     ordering: str = SPLU_OPTIONS["permc_spec"]
+    dtype: np.dtype = np.dtype(float)
     _lu: object = field(default=None, repr=False, compare=False)
 
     @property
     def is_complex(self):
-        return np.issubdtype(self._lu.U.dtype, np.complexfloating)
+        return np.issubdtype(self.dtype, np.complexfloating)
 
 
 def factor_saddle(W, G, kind="custom", shift=None):
@@ -106,8 +109,11 @@ def factor_saddle(W, G, kind="custom", shift=None):
     Raises
     ------
     SingularSaddle
-        If the LU factorization fails or a pivot falls below the tiny-pivot
-        ratio, signalling a rank-deficient G or a singular projected W.
+        If the LU factorization fails or its solve of K x = K z, for the
+        fixed z = cos(1..n), misses z by more than ``SOLVE_CHECK_TOL``
+        relative, signalling a rank-deficient G or a singular projected
+        W.  The check reads neither L nor U: scipy builds both as sparse
+        copies on first access and keeps them for the factors' lifetime.
     """
     W = sp.csc_matrix(W)
     G = sp.csc_matrix(G)
@@ -130,14 +136,16 @@ def factor_saddle(W, G, kind="custom", shift=None):
         lu = splu(K, **SPLU_OPTIONS)
     except RuntimeError as exc:
         raise SingularSaddle(f"saddle factorization ({kind}) failed: {exc}") from exc
-    d = np.abs(lu.U.diagonal())
-    if d.size and d.min() <= PIVOT_RATIO * d.max():
+    z = np.cos(np.arange(1.0, K.shape[0] + 1.0))
+    x = lu.solve(K @ z)
+    err = np.linalg.norm(x - z) / np.linalg.norm(z) if z.size else 0.0
+    if not err <= SOLVE_CHECK_TOL:
         raise SingularSaddle(
-            f"saddle factorization ({kind}) has a tiny pivot "
-            f"(ratio {d.min() / d.max():.2e})"
+            f"saddle factorization ({kind}) is numerically singular "
+            f"(forward error {err:.2e} of a check solve)"
         )
     return SaddleFactorization(
-        kind=kind, n_v=n_v, n_p=n_p, shift=shift, scale=scale, _lu=lu
+        kind=kind, n_v=n_v, n_p=n_p, shift=shift, scale=scale, dtype=x.dtype, _lu=lu
     )
 
 
@@ -165,7 +173,7 @@ def solve_saddle(fact, rhs, adjoint=False):
     if np.iscomplexobj(full) and not fact.is_complex:
         x = fact._lu.solve(full.real, trans) + 1j * fact._lu.solve(full.imag, trans)
     else:
-        x = fact._lu.solve(np.asarray(full, dtype=fact._lu.U.dtype), trans)
+        x = fact._lu.solve(np.asarray(full, dtype=fact.dtype), trans)
     x = x[: fact.n_v]
     return x[:, 0] if one_d else x
 

@@ -3,11 +3,15 @@
 Two reduced forms are built from an extended Arnoldi basis: the
 state-space form driven by the projected-operator Hessenberg matrix
 (cheapest; no products with the full system matrices) and the
-generalized form from congruence projections of M and A.  Exact transfer
-functions are evaluated through one complex sparse saddle factorization
-per shift; the dense projector is never formed.
+generalized form from congruence projections of M and A.  An exact
+transfer function at one shift takes one complex sparse saddle
+factorization (``eval_full_tf``); a frequency sweep takes one per group
+of shifts within half a decade, and serves the group's other shifts by a
+shifted block Krylov process on the solves with that factorization.  The
+dense projector is never formed.
 """
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -27,6 +31,15 @@ from .sysmodel import write_csv
 
 STATE_SPACE = "state_space"
 GENERALIZED = "generalized"
+
+# Block steps of a sweep group's shifted Krylov process before its open
+# points are evaluated exactly.
+SWEEP_BLOCKS = 30
+# Residual, relative to the start block, at which a sweep shift is accepted.
+SWEEP_TOL = 1e-13
+# Reciprocal condition of a projected matrix below which its shift is
+# evaluated exactly.
+SWEEP_RCOND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -104,7 +117,9 @@ def eval_full_tf(system, s):
     ClosedLoopSystem A is A - B K, solved through the shifted
     factorization plus an SMW correction.  One complex sparse
     factorization of the shifted saddle matrix and n_b solves; the sign
-    of the constraint blocks only flips the discarded multiplier.
+    of the constraint blocks only flips the discarded multiplier.  This
+    is the per-shift reference: ``frequency_sweep`` uses it only for the
+    points its grouped shifted Krylov process does not accept.
     """
     pair = as_pair(system)
     try:
@@ -141,13 +156,20 @@ class FrequencyResponse:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Exact and reduced responses on one grid, and the threads that ran it."""
+    """Exact and reduced responses on one grid, and how they were computed.
+
+    ``workers`` counts the threads of the sweep, ``factorizations`` the
+    shifted factorizations attempted (one anchor per group plus one per
+    fallback) and ``fallbacks`` the points evaluated by ``eval_full_tf``.
+    """
 
     full: FrequencyResponse
     reduced: FrequencyResponse
     errors: np.ndarray
     hinf_sample: float
     workers: int
+    factorizations: int
+    fallbacks: int
     skipped: list = field(default_factory=list)
 
 
@@ -159,13 +181,122 @@ def _process_cpus():
         return os.cpu_count() or 1
 
 
-def _responses(system, model, w):
-    """(F(jw), F_m(jw)), or None where jw hits either spectrum."""
-    s = 1j * w
+def _sweep_groups(omegas):
+    """Consecutive index ranges of the grid, each within half a decade.
+
+    Point i joins group floor(2 log10(omega_i / omega_0)), except that the
+    last point closes the last full half-decade instead of opening one of
+    its own: the default 200-point grid over ten decades gives 20 groups
+    of 10.  The rule reads the grid only.
+    """
+    half_decades = 2.0 * np.log10(omegas / omegas[0])
+    # A last point past a half-decade boundary by rounding only opens no group.
+    last = max(int(np.ceil(half_decades[-1] - 1e-9)) - 1, 0)
+    label = np.minimum(np.floor(half_decades), last)
+    bounds = [0, *(np.flatnonzero(np.diff(label)) + 1), len(omegas)]
+    return [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _projected_solve(lhs, rhs):
+    """(y, reciprocal 1-norm condition of lhs) with lhs y = rhs; (None, 0) if lhs is singular."""
+    getrf, getrs, gecon = la.get_lapack_funcs(("getrf", "getrs", "gecon"), (lhs,))
+    lu, piv, info = getrf(lhs)
+    if info != 0:
+        return None, 0.0
+    return getrs(lu, piv, rhs)[0], gecon(lu, la.norm(lhs, 1))[0]
+
+
+def _shifted_krylov(solve, sys_, x0, sigma, shifts):
+    """{i: C x(s_i)} for the shifts s_i it accepts, from the solves at sigma.
+
+    With S the saddle solve at sigma, the solution x(s) of the block at s
+    satisfies (I - (sigma - s) S M) x(s) = S B = x0 = Q_0 R_0.  One block
+    Arnoldi process on S M from Q_0 (full Gram-Schmidt, twice) gives
+    S M V_k = V_k H_k + Q_k R_k E_k^T (Q_k R_k the QR of the k-th step's
+    orthogonalized block), so the Galerkin solution V_k y of
+    (I - (sigma - s) H_k) y = E_1 R_0 leaves the residual
+    (sigma - s) Q_k R_k y_last, known without forming V_k y.  A shift is
+    accepted once that residual is at most ``SWEEP_TOL`` ||R_0||, with
+    C x(s) = (C V_k) y, unless its projected matrix has a reciprocal
+    condition below ``SWEEP_RCOND``; a shift still open after
+    ``SWEEP_BLOCKS`` steps, or after the null(G^T) the basis lives in is
+    spanned, is left out.  The basis is allocated once, at its cap.
+    """
+    n_v, nb = x0.shape
+    blocks = min(SWEEP_BLOCKS, (n_v - sys_.n_p) // nb)
+    basis = np.empty((n_v, blocks * nb), dtype=complex, order="F")
+    hess = np.zeros(((blocks + 1) * nb, blocks * nb), dtype=complex)
+    cv = np.empty((sys_.n_c, blocks * nb), dtype=complex)
+    q, r0 = np.linalg.qr(x0)
+    tol = SWEEP_TOL * la.norm(r0)
+    open_ = dict(shifts)
+    done = {}
+    for k in range(1, blocks + 1):
+        if not open_:
+            break
+        cols = k * nb
+        basis[:, cols - nb : cols] = q
+        cv[:, cols - nb : cols] = sys_.C @ q
+        v = basis[:, :cols]
+        w = solve(sys_.M @ q)
+        for _ in range(2):
+            # V^H w as the conjugate of V^T conj(w): no conjugate copy of V.
+            h = (v.T @ w.conj()).conj()
+            w -= v @ h
+            hess[:cols, cols - nb : cols] += h
+        q, r = np.linalg.qr(w)
+        hess[cols : cols + nb, cols - nb : cols] = r
+        rhs = np.zeros((cols, nb), dtype=complex)
+        rhs[:nb] = r0
+        for i, s in list(open_.items()):
+            lhs = np.eye(cols) - (sigma - s) * hess[:cols, :cols]
+            y, rcond = _projected_solve(lhs, rhs)
+            if y is None or not abs(sigma - s) * la.norm(r @ y[-nb:]) <= tol:
+                continue
+            del open_[i]
+            if rcond >= SWEEP_RCOND:
+                done[i] = cv[:, :cols] @ y
+    return done
+
+
+def _group_responses(pair, model, omegas, group):
+    """[(F, F_m) or None per point of the group], and its exact fallbacks.
+
+    The middle point's shifted factorization, SMW-corrected for a closed
+    loop, is the anchor: its own response is C S B, the same arithmetic
+    as ``eval_full_tf``, and ``_shifted_krylov`` serves the others.  A
+    point it does not accept, and every other point of a group whose
+    anchor hits the spectrum, goes through ``eval_full_tf``.  The anchor
+    is dropped on return.
+    """
+    anchor = group[len(group) // 2]
+    shifts = {i: 1j * omegas[i] for i in group if i != anchor}
+    full = {}
     try:
-        return eval_full_tf(system, s), eval_reduced_tf(model, s)
-    except SingularShift:
-        return None
+        solve = pair.solver("shifted", 1j * omegas[anchor])
+        x0 = solve(pair.sys.B.astype(complex))
+    except (SingularSaddle, SingularCapture):
+        full[anchor] = None
+    else:
+        full[anchor] = pair.sys.C @ x0
+        full.update(_shifted_krylov(solve, pair.sys, x0, 1j * omegas[anchor], shifts))
+        del solve
+    exact = [i for i in shifts if i not in full]
+    for i in exact:
+        try:
+            full[i] = eval_full_tf(pair, shifts[i])
+        except SingularShift:
+            full[i] = None
+    points = []
+    for i in group:
+        point = None
+        if full[i] is not None:
+            try:
+                point = full[i], eval_reduced_tf(model, 1j * omegas[i])
+            except SingularShift:
+                pass
+        points.append(point)
+    return points, len(exact)
 
 
 def frequency_sweep(system, model, w_lo=1e-5, w_hi=1e5, n_points=200):
@@ -177,22 +308,41 @@ def frequency_sweep(system, model, w_lo=1e-5, w_hi=1e5, n_points=200):
     is the grid maximum of the error, a lower bound on the true Hinf
     error norm.
 
-    The points are evaluated by a pool of one thread per CPU of the
-    process's affinity mask (at most one per point; ``workers`` records
-    the count).  SuperLU releases the interpreter lock, so the shifted
-    factorizations run in parallel; peak memory grows by one shifted
-    factorization per extra worker.  Each point is computed alone and
-    collected in grid order, so the result does not depend on the number
-    of workers, bit for bit.
+    The grid is cut into groups of consecutive points within half a
+    decade (``_sweep_groups``).  Each group costs one complex shifted
+    factorization, at its middle point sigma: a shifted block Krylov
+    process on the solves at sigma gives the full responses at the other
+    points (``_shifted_krylov``), each accepted once its residual is
+    below 1e-13 of the start block's, and within about 1e-13 relative of
+    the per-shift ``eval_full_tf``.  A point not accepted within
+    ``SWEEP_BLOCKS`` block steps, whose projected matrix is numerically
+    singular, or whose group's anchor factorization fails is evaluated
+    by ``eval_full_tf``, so a point on the spectrum is skipped as before.
+
+    The groups are evaluated by a pool of one thread per CPU of the
+    process's affinity mask (at most one per group; ``workers`` records
+    the count).  SuperLU releases the interpreter lock, so the anchor
+    factorizations and solves run in parallel; peak memory grows by one
+    anchor factorization and basis per extra worker.  Each group is
+    computed alone and collected in grid order, so the result does not
+    depend on the number of workers, bit for bit.
     """
+    if not isinstance(n_points, numbers.Integral) or n_points < 1:
+        raise DimensionMismatch(f"n_points must be a positive integer, got {n_points!r}")
     if not w_lo > 0:
         raise DimensionMismatch(f"w_lo must be positive, got {w_lo}")
     if not w_lo < w_hi < np.inf:
         raise DimensionMismatch(f"need w_lo < w_hi < inf, got {w_lo}, {w_hi}")
     omegas = np.logspace(np.log10(w_lo), np.log10(w_hi), n_points)
-    workers = max(1, min(_process_cpus(), n_points))
+    groups = _sweep_groups(omegas)
+    pair = as_pair(system)
+    workers = max(1, min(_process_cpus(), len(groups)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        points = list(pool.map(lambda w: _responses(system, model, w), omegas))
+        results = list(
+            pool.map(lambda g: _group_responses(pair, model, omegas, g), groups)
+        )
+    points = [p for group_points, _ in results for p in group_points]
+    fallbacks = sum(n for _, n in results)
     shape = (model.n_outputs, model.n_inputs)
     full_vals, red_vals = [], []
     full_norms = np.full(n_points, np.nan)
@@ -218,6 +368,8 @@ def frequency_sweep(system, model, w_lo=1e-5, w_hi=1e5, n_points=200):
         errors=errors,
         hinf_sample=float(finite.max()) if finite.size else np.nan,
         workers=workers,
+        factorizations=len(groups) + fallbacks,
+        fallbacks=fallbacks,
         skipped=skipped,
     )
 

@@ -42,6 +42,8 @@ MANIFEST_TYPES = {
     "hinf_sample": (float,),
     "skipped_points": (list,),
     "sweep_workers": (int,),
+    "sweep_factorizations": (int,),
+    "sweep_fallbacks": (int,),
     "iterations": (int,),
     "converged": (bool,),
     "status": (str,),

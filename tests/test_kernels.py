@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -47,6 +49,31 @@ class TestFactorSaddle:
     def test_rank_deficient_g(self):
         with pytest.raises(SingularSaddle):
             factor_saddle(np.eye(2), np.array([[0.0], [0.0]]))
+
+    def test_nearly_equal_g_columns(self):
+        rng = np.random.default_rng(9)
+        W = _spd(rng, 12)
+        g = rng.standard_normal(12)
+        G = np.column_stack([g, g * (1.0 + 1e-15)])
+        with pytest.raises(SingularSaddle):
+            factor_saddle(W, G)
+
+    def test_factor_builds_no_copy_of_l_and_u(self):
+        # scipy builds L and U as sparse copies on first access and keeps
+        # them with the factors; numpy's allocations are traced, SuperLU's
+        # own are not.
+        s = generate_synthetic(SyntheticSpec(900, 100, seed=1, grid=GridSpec(30, 30)))
+        W = (1j * s.M - s.A).tocsc()
+        tracemalloc.start()
+        try:
+            f = factor_saddle(W, s.G, kind="shifted", shift=1j)
+            grown = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        lu = f._lu
+        lu_bytes = (lu.L.nnz + lu.U.nnz) * (lu.U.dtype.itemsize + 4)
+        assert f.is_complex and f.dtype == np.complex128
+        assert grown < 0.25 * lu_bytes
 
     def test_random_spd_vs_dense_lu(self):
         rng = np.random.default_rng(0)

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from ekstab import oracle
+from ekstab import oracle, reduction
 from ekstab.arnoldi import ADJOINT, FORWARD, ekba_basis
 from ekstab.closedloop import ClosedLoopSystem, reduce_closed_loop
 from ekstab.errors import DimensionMismatch, ModeMismatch, SingularShift
@@ -220,15 +220,61 @@ class TestFrequencySweep:
         )
         assert sweep.skipped == [4]
 
+    def test_singular_point_inside_a_group_is_skipped(self):
+        # omega = 1 (grid index 10) is not its group's anchor here; its
+        # projected matrix is singular, so it takes the exact path.
+        sweep = frequency_sweep(
+            _oscillator(), _first_order_model(), w_lo=0.1, w_hi=10.0, n_points=21
+        )
+        assert sweep.skipped == [10]
+        assert sweep.fallbacks == 1
+
     def test_matches_a_serial_loop_bit_for_bit(self, swept):
+        # The grouped shifted Krylov process agrees with the per-shift
+        # factorizations to rounding (measured 1e-13); the reduced side is
+        # the same arithmetic, bit for bit.
         system, model = swept
         sweep = frequency_sweep(system, model, n_points=30)
         full, reduced = _serial_responses(system, model, sweep.full.omegas)
-        assert np.array_equal(np.array(sweep.full.values), full)
+        for f, ref in zip(sweep.full.values, full):
+            assert la.norm(f - ref, 2) <= 1e-12 * la.norm(ref, 2)
         assert np.array_equal(np.array(sweep.reduced.values), reduced)
-        errors = [la.norm(f - g, 2) for f, g in zip(full, reduced)]
+        errors = [la.norm(f - g, 2) for f, g in zip(sweep.full.values, reduced)]
         assert np.array_equal(sweep.errors, errors)
         assert not sweep.skipped
+
+    def test_capped_krylov_falls_back_to_the_serial_loop(self, swept, monkeypatch):
+        # One block step accepts no neighbour of an anchor, so every
+        # non-anchor point is evaluated by its own factorization.
+        system, model = swept
+        monkeypatch.setattr(reduction, "SWEEP_BLOCKS", 1)
+        sweep = frequency_sweep(system, model, n_points=30)
+        full, _ = _serial_responses(system, model, sweep.full.omegas)
+        assert np.array_equal(np.array(sweep.full.values), full)
+        anchors = sweep.factorizations - sweep.fallbacks
+        assert sweep.fallbacks == 30 - anchors > 0
+
+    def test_default_grid_takes_one_factorization_per_half_decade(self, swept, kinds):
+        system, model = swept
+        sweep = frequency_sweep(system, model)
+        assert sweep.fallbacks == 0
+        assert sweep.factorizations == kinds.count("shifted") <= 20
+
+    def test_full_values_match_the_theta_oracle(self, sys60, proj60):
+        tsys = oracle.theta_system(sys60, proj60)
+        model = build_reduced(ekba_basis(sys60, 3, FORWARD), STATE_SPACE)
+        sweep = frequency_sweep(sys60, model, n_points=60)
+        for w, f in zip(sweep.full.omegas, sweep.full.values):
+            ref = oracle.theta_transfer(tsys, 1j * w)
+            assert la.norm(f - ref, 2) <= 1e-10 * la.norm(ref, 2)
+
+    @pytest.mark.parametrize("n_points", [0, -1, 2.5])
+    def test_bad_point_count_rejected_before_factoring(self, sys60, n_points, kinds):
+        model = build_reduced(ekba_basis(sys60, 2, FORWARD), STATE_SPACE)
+        made = len(kinds)
+        with pytest.raises(DimensionMismatch, match="n_points"):
+            frequency_sweep(sys60, model, n_points=n_points)
+        assert len(kinds) == made
 
     @pytest.mark.parametrize("cpus", [{0}, set(range(8))], ids=["one", "eight"])
     def test_result_does_not_depend_on_the_worker_count(
