@@ -6,16 +6,30 @@ application of the operator or its inverse is one solve against a cached
 saddle-point factorization.  Alongside the basis the process accumulates,
 by explicit projection of the operator images, the projected-operator
 Hessenberg matrix (one extra mass-block solve per step for the
-inverse-branch columns).  The other work of a step is two Gram-Schmidt
-matrix products against the contiguous basis and one reprojection onto
-G^T v = 0, a solve with the sparse identity block [[I, G], [G^T, 0]].
+inverse-branch columns).  The other work of a step is two classical
+Gram-Schmidt passes against the contiguous basis with one reprojection
+onto G^T v = 0 between them, a solve with the sparse identity block
+[[I, G], [G^T, 0]].  Two passes suffice: after one pass of classical
+Gram-Schmidt the component along the basis is of the order of the
+rounding error times the condition of [V_j, candidate], and while that
+product stays below one a second pass leaves the result orthogonal to
+working accuracy ("twice is enough", Giraud, Langou & Rozloznik,
+Comput. Math. Appl. 50, 2005).  The
+reprojection between them is symmetric with norm one and puts back no
+component along the basis, and the second pass keeps its conditional
+safety pass.
 
-The mass-block and stiffness-block solves of a step (and of the start
-block) do not depend on each other, so the mass-block solve runs on one
-worker thread while the caller does the stiffness-block solve; SuperLU
-releases the interpreter lock, so the two overlap on two cores.  Each
-is the same call on the same factors as when run one after the other,
-so the basis does not depend on the overlap, bit for bit.
+A step runs on the caller and on one worker thread, which overlap on two
+cores because SuperLU and BLAS release the interpreter lock.  The worker
+solves the mass block for A V_j^(1) while the caller solves the
+stiffness block for M V_j^(2), b columns each.  Then the worker takes the
+rank scale ||candidate||_2, the Hessenberg-only mass-block solve for
+A V_j^(2) and the projection V_j^T of the images, while the caller runs
+the two Gram-Schmidt passes, the reprojection and the QR of the new
+block, and last the new block's Hessenberg rows.  Each call is the same
+whichever thread runs it, so the basis does not depend on the overlap,
+bit for bit, and every worker task has finished when a step returns or
+raises.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -55,7 +69,7 @@ class OperatorPair:
     def fact_stiff(self):
         return self.sys.saddle("stiffness")
 
-    def solver(self, kind, shift=None):
+    def solver(self, kind, shift=None, with_start=False):
         """Solve function for the saddle block whose leading block holds A.
 
         ``kind`` is "stiffness" (W = A), "shifted" (W = shift M - A) or
@@ -63,7 +77,9 @@ class OperatorPair:
         solve with the block's factors; with one it solves the block with
         W - c B K, c the coefficient of A in W read from ``_SADDLE_KINDS``,
         through an SMW update of those factors, whose capture matrix is
-        checked here; any other kind is a DimensionMismatch.
+        checked here; any other kind is a DimensionMismatch.  With
+        ``with_start`` the pair ``(solve, solve(start))`` is returned; a
+        corrector's start solve comes from its cached base solve of B.
         """
         row = _SADDLE_KINDS.get(kind)
         if row is None or row.a_coef is None:
@@ -71,10 +87,15 @@ class OperatorPair:
         fact = self.sys.saddle(kind, shift)
         if self.k_matrix is not None:
             c = row.a_coef(shift)
-            return kernels.SmwCorrector(fact, self.start, self.k_matrix, c).solve
+            smw = kernels.SmwCorrector(fact, self.start, self.k_matrix, c)
+            return (smw.solve, smw.solve_b()) if with_start else smw.solve
         # A closure over the pair itself would hold its factors in a cycle.
         adjoint = self.adjoint
-        return lambda rhs: kernels.solve_saddle(fact, rhs, adjoint=adjoint)
+
+        def solve(rhs):
+            return kernels.solve_saddle(fact, rhs, adjoint=adjoint)
+
+        return (solve, solve(self.start)) if with_start else solve
 
     @cached_property
     def solve_stiff(self):
@@ -181,10 +202,13 @@ class ExtendedBasis:
         self._store[:, start : start + self.width] = q
         self.m += 1
 
-    def record(self, images):
-        """Store V^T images as the Hessenberg block column of the next step."""
+    def record(self, *rows):
+        """Store V^T images as the Hessenberg block column of the next step.
+
+        ``rows`` are its row blocks, top to bottom, m blocks' rows in all.
+        """
         k, w = self.steps * self.width, self.width
-        self._hess[: self.m * w, k : k + w] = self.V().T @ images
+        np.concatenate(rows, out=self._hess[: self.m * w, k : k + w])
         self.steps += 1
 
     def block(self, j):
@@ -278,14 +302,18 @@ def ekba_step(basis):
     """Advance the process by one block, updating the Hessenberg data in place.
 
     The forward branch solves the mass-block saddle with right-hand side
-    A V_j^(1); the inverse branch solves the stiffness-block saddle with
-    right-hand side M V_j^(2).  The same mass-block solve also carries
-    A V_j^(2), whose projection supplies the operator-Hessenberg column.
-    The mass-block solve runs on the worker thread while the caller does
-    the stiffness-block solve; the rest of the step runs on the caller.
+    A V_j^(1) on the worker thread while the caller solves the
+    stiffness-block saddle with right-hand side M V_j^(2).  The worker
+    then computes the rank scale, solves the mass block once more for
+    A V_j^(2) (needed only for the operator-Hessenberg column) and
+    projects the images onto V_j.  Meanwhile the caller runs one
+    Gram-Schmidt pass, the reprojection and a second pass, with its
+    conditional safety pass, then the QR of the new block and its rows
+    V_{j+1}^T images of the column.  Every worker task is awaited on every
+    exit, so none outlives the step; when one fails, its error is raised.
     On a rank-deficient candidate the step raises Breakdown after
-    recording that column, so the square projected operator of the basis
-    built so far stays available.
+    recording the column V_j^T images, so the square projected operator
+    of the basis built so far stays available.
     """
     if basis.breakdown_at is not None:
         raise Breakdown(
@@ -294,29 +322,40 @@ def ekba_step(basis):
         )
     j = basis.m
     vj = basis.block(j - 1)
+    vs = basis.V(j)
     b = basis.width // 2
     ops = basis.ops
-    images, inverse = _overlapped(
-        lambda: ops.solve_mass(ops.apply(vj)),
+    forward, inverse = _overlapped(
+        lambda: ops.solve_mass(ops.apply(vj[:, :b])),
         lambda: ops.solve_stiff(ops.apply_mass(vj[:, b:])),
     )
-    cand = np.empty_like(images, order="F")
-    cand[:, :b] = images[:, :b]
-    cand[:, b:] = inverse
-    scale = np.linalg.norm(cand, 2)
-    _, w = kernels.block_gram_schmidt(cand, basis.V(j))
-    w = ops.reproject(w)
-    _, w = kernels.block_gram_schmidt(w, basis.V(j))
+    cand = np.column_stack([forward, inverse])
+
+    def hessenberg():
+        images = np.column_stack([forward, ops.solve_mass(ops.apply(vj[:, b:]))])
+        return images, vs.T @ images
+
+    scale = _worker().submit(lambda: np.linalg.norm(cand, 2))
+    column = _worker().submit(hessenberg)
     try:
-        qr = kernels.thin_qr(w, rank_scale=scale)
+        w = cand - vs @ (vs.T @ cand)
+        w = ops.reproject(w)
+        _, w = kernels.block_gram_schmidt(w, vs)
+        qr = kernels.thin_qr(w, rank_scale=scale.result())
     except RankDeficient as exc:
-        basis.record(images)
+        basis.record(column.result()[1])
         basis.breakdown_at = j
         raise Breakdown(
             f"rank-deficient candidate block at step {j}", iteration=j
         ) from exc
+    finally:
+        # Every task finishes within the step; a failed one's error is
+        # raised, taking precedence as in _overlapped.
+        for future in (scale, column):
+            future.result()
+    images, head = column.result()
     basis.append(qr.q)
-    basis.record(images)
+    basis.record(head, qr.q.T @ images)
     return basis
 
 

@@ -184,6 +184,7 @@ class SmwCorrector:
     Caches the block solve of B and the n_b x n_b capture matrix
     I - c K W_blk^-1 B; each corrected solve then costs one base solve
     plus a small dense solve, and the dense product B K is never formed.
+    The corrected solve of B itself (``solve_b``) costs no base solve.
     """
 
     def __init__(self, fact, B, K, c):
@@ -204,7 +205,13 @@ class SmwCorrector:
         self.capture_lu = la.lu_factor(self.capture)
 
     def solve(self, rhs):
-        x = solve_saddle(self.fact, rhs)
+        return self._corrected(solve_saddle(self.fact, rhs))
+
+    def solve_b(self):
+        """``solve(B)`` from the cached base solve of B, the same arithmetic."""
+        return self._corrected(self.ainv_b)
+
+    def _corrected(self, x):
         corr = la.lu_solve(self.capture_lu, self.c * (self.K @ x))
         return x + self.ainv_b @ corr
 

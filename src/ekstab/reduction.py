@@ -264,7 +264,8 @@ def _group_responses(pair, model, omegas, group):
 
     The middle point's shifted factorization, SMW-corrected for a closed
     loop, is the anchor: its own response is C S B, the same arithmetic
-    as ``eval_full_tf``, and ``_shifted_krylov`` serves the others.  A
+    as ``eval_full_tf`` (a corrector's S B reuses its cached solve of B),
+    and ``_shifted_krylov`` serves the others.  A
     point it does not accept, and every other point of a group whose
     anchor hits the spectrum, goes through ``eval_full_tf``.  The anchor
     is dropped on return.
@@ -273,8 +274,7 @@ def _group_responses(pair, model, omegas, group):
     shifts = {i: 1j * omegas[i] for i in group if i != anchor}
     full = {}
     try:
-        solve = pair.solver("shifted", 1j * omegas[anchor])
-        x0 = solve(pair.sys.B.astype(complex))
+        solve, x0 = pair.solver("shifted", 1j * omegas[anchor], with_start=True)
     except (SingularSaddle, SingularCapture):
         full[anchor] = None
     else:

@@ -211,6 +211,9 @@ def ebara_solve(sys_, tol=1e-8, dtol=1e-12, m_max=50, keep_iterates=False):
     basis.reserve(m_max + 1)
     lam11 = basis.lam11
     denominator = la.norm(lam11 @ lam11.T, 2)
+    w = basis.width
+    # V^T B, one block's rows appended per order, for at most a full basis.
+    vtb = np.empty((min(m_max, sys_.n_v // w) * w, sys_.n_b))
     history = []
     iterates = []
     for m in range(1, m_max + 1):
@@ -219,15 +222,14 @@ def ebara_solve(sys_, tol=1e-8, dtol=1e-12, m_max=50, keep_iterates=False):
         except Breakdown:
             pass
         last = basis.breakdown_at is not None or m == m_max
+        vtb[(m - 1) * w : m * w] = basis.block(m - 1).T @ sys_.B
         try:
-            y = care_dense(
-                basis.Tm(m), basis.V(m).T @ sys_.B, projected_input(basis, m)
-            )
+            y = care_dense(basis.Tm(m), vtb[: m * w], projected_input(basis, m))
         except NoStabilizingSolution:
             if last:
                 raise
             continue
-        rel = la.norm(basis.t_next(m) @ y[-basis.width :, :], 2) / denominator
+        rel = la.norm(basis.t_next(m) @ y[-w:, :], 2) / denominator
         history.append((m, rel))
         if keep_iterates:
             iterates.append((m, y.copy()))

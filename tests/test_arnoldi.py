@@ -397,3 +397,67 @@ class TestOverlappedSolves:
             ekba_init(rank_deficient, FORWARD)
         assert sorted(tried) == ["mass", "stiffness"]
         assert running == []
+
+
+class _Recording:
+    """Executor stand-in that hands each task to the real worker and keeps its future."""
+
+    def __init__(self, worker):
+        self.worker = worker
+        self.futures = []
+
+    def submit(self, fn):
+        future = self.worker.submit(fn)
+        self.futures.append(future)
+        return future
+
+
+class TestNoTaskOutlivesTheStep:
+    @pytest.fixture
+    def hold_back(self, monkeypatch):
+        """Call to hold back the mass-block solves; returns the worker's futures."""
+
+        def install():
+            recording = _Recording(arnoldi._worker())
+            monkeypatch.setattr(arnoldi, "_worker", lambda: recording)
+            real = kernels.solve_saddle
+
+            def slow(fact, rhs, *args, **kwargs):
+                if fact.kind == "mass":
+                    time.sleep(0.2)
+                return real(fact, rhs, *args, **kwargs)
+
+            monkeypatch.setattr(kernels, "solve_saddle", slow)
+            return recording.futures
+
+        return install
+
+    def test_failed_reprojection(self, sys60, hold_back, monkeypatch):
+        basis = ekba_init(sys60, FORWARD)
+
+        def failing(self, X):
+            raise RuntimeError("reprojection failed")
+
+        monkeypatch.setattr(OperatorPair, "reproject", failing)
+        futures = hold_back()
+        with pytest.raises(RuntimeError, match="reprojection failed"):
+            ekba_step(basis)
+        assert len(futures) >= 2
+        assert all(f.done() for f in futures)
+
+    def test_breakdown_records_the_column(self, sys60, hold_back):
+        # sys60's space null(G^T) holds 13 blocks, so the 13th step's
+        # candidate is rank-deficient.
+        basis = ekba_basis(sys60, 12, FORWARD)
+        assert basis.m == 13 and basis.breakdown_at is None
+        ops = basis.ops
+        images = ops.solve_mass(ops.apply(basis.block(12)))
+        futures = hold_back()
+        with pytest.raises(Breakdown):
+            ekba_step(basis)
+        assert len(futures) >= 2
+        assert all(f.done() for f in futures)
+        assert basis.breakdown_at == 13 and basis.steps == 13
+        column = basis.Tm()[:, -basis.width :]
+        ref = basis.V().T @ images
+        assert la.norm(column - ref, 2) <= 1e-12 * la.norm(ref, 2)

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from ekstab import oracle, reduction
+from ekstab import kernels, oracle, reduction
 from ekstab.arnoldi import ADJOINT, FORWARD, ekba_basis
 from ekstab.closedloop import ClosedLoopSystem, reduce_closed_loop
 from ekstab.errors import DimensionMismatch, ModeMismatch, SingularShift
@@ -259,6 +259,35 @@ class TestFrequencySweep:
         sweep = frequency_sweep(system, model)
         assert sweep.fallbacks == 0
         assert sweep.factorizations == kinds.count("shifted") <= 20
+
+    def test_closed_loop_anchor_reuses_the_corrector_solve_of_b(
+        self, sys60, monkeypatch
+    ):
+        # The SMW corrector of a group's anchor already holds its base solve
+        # of B, so the start block S B costs no saddle solve of its own.
+        gain = FeedbackGain(left=np.eye(sys60.n_b), right=0.5 * sys60.B.T)
+        system = ClosedLoopSystem(sys60, gain)
+        model = reduce_closed_loop(system, 3)[1]
+        calls = []
+        real = kernels.solve_saddle
+
+        def counting(fact, rhs, *args, **kwargs):
+            calls.append(fact.kind)
+            return real(fact, rhs, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "solve_saddle", counting)
+        sweep = frequency_sweep(system, model, n_points=30)
+        reused = len(calls)
+        calls.clear()
+        monkeypatch.setattr(
+            kernels.SmwCorrector,
+            "solve_b",
+            lambda smw: smw.solve(sys60.B.astype(complex)),
+        )
+        reference = frequency_sweep(system, model, n_points=30)
+        groups = len(reduction._sweep_groups(sweep.full.omegas))
+        assert len(calls) - reused == groups
+        _assert_same_sweep(sweep, reference)
 
     def test_full_values_match_the_theta_oracle(self, sys60, proj60):
         tsys = oracle.theta_system(sys60, proj60)

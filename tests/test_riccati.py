@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from ekstab import oracle
+from ekstab import oracle, riccati
 from ekstab.errors import DimensionMismatch, NoStabilizingSolution
 from ekstab.riccati import (
     care_dense,
@@ -118,6 +118,30 @@ class TestEbaraSolve:
         assert la.norm(res, "fro") <= 1e-10 * max(
             1.0, la.norm(sol.y, "fro") ** 2 * d_norm
         )
+
+    def test_projected_input_grows_by_one_block_per_order(self, sys60u, monkeypatch):
+        # V^T B reaches the dense solver with one block's rows appended per
+        # order, not recomputed over the whole basis.
+        seen = []
+        real = riccati.care_dense
+
+        def recording(t, bt, ct):
+            seen.append(np.array(bt))
+            return real(t, bt, ct)
+
+        monkeypatch.setattr(riccati, "care_dense", recording)
+        sol = ebara_solve(sys60u, tol=1e-8)
+        assert len(seen) == sol.iterations
+        for m, bt in enumerate(seen, start=1):
+            ref = sol.basis.V(m).T @ sys60u.B
+            assert la.norm(bt - ref) <= 1e-14 * la.norm(ref)
+        orders = [m for m, _ in sol.residual_history]
+        assert orders == list(range(1, sol.iterations + 1))
+
+    def test_order_cap_beyond_a_full_basis(self, sys60u):
+        sol = ebara_solve(sys60u, tol=1e-8, m_max=10**15)
+        assert sol.converged
+        assert sol.residual_history == ebara_solve(sys60u, tol=1e-8).residual_history
 
     def test_residual_formula_vs_oracle(self, sys60u, proj60u):
         # Cheap continuation-block formula against the assembled dense
