@@ -19,14 +19,15 @@ reprojection between them is symmetric with norm one and puts back no
 component along the basis, and the second pass keeps its conditional
 safety pass.
 
-A step runs on the caller and on one worker thread, which overlap on two
-cores because SuperLU and BLAS release the interpreter lock.  The worker
-solves the mass block for A V_j^(1) while the caller solves the
-stiffness block for M V_j^(2), b columns each.  Then the worker takes the
-rank scale ||candidate||_2, the Hessenberg-only mass-block solve for
-A V_j^(2) and the projection V_j^T of the images, while the caller runs
-the two Gram-Schmidt passes, the reprojection and the QR of the new
-block, and last the new block's Hessenberg rows.  Each call is the same
+A step is two overlaps of the caller with one worker thread, which run
+on two cores because SuperLU and BLAS release the interpreter lock.  In
+the first the worker solves the mass block for A V_j^(1) while the
+caller solves the stiffness block for M V_j^(2), b columns each.  In the
+second the worker takes the rank scale ||candidate||_2, the
+Hessenberg-only mass-block solve for A V_j^(2) and the projection V_j^T
+of the images, while the caller runs the two Gram-Schmidt passes and the
+reprojection between them.  After the second join the caller takes the
+QR of the new block and its Hessenberg rows.  Each call is the same
 whichever thread runs it, so the basis does not depend on the overlap,
 bit for bit, and every worker task has finished when a step returns or
 raises.
@@ -301,19 +302,19 @@ def ekba_init(source, mode=FORWARD):
 def ekba_step(basis):
     """Advance the process by one block, updating the Hessenberg data in place.
 
-    The forward branch solves the mass-block saddle with right-hand side
-    A V_j^(1) on the worker thread while the caller solves the
-    stiffness-block saddle with right-hand side M V_j^(2).  The worker
-    then computes the rank scale, solves the mass block once more for
-    A V_j^(2) (needed only for the operator-Hessenberg column) and
-    projects the images onto V_j.  Meanwhile the caller runs one
+    Two ``_overlapped`` calls.  In the first the worker thread solves the
+    mass-block saddle with right-hand side A V_j^(1) while the caller
+    solves the stiffness-block saddle with right-hand side M V_j^(2).  In
+    the second the worker computes the rank scale, solves the mass block
+    once more for A V_j^(2) (needed only for the operator-Hessenberg
+    column) and projects the images onto V_j, while the caller runs one
     Gram-Schmidt pass, the reprojection and a second pass, with its
-    conditional safety pass, then the QR of the new block and its rows
-    V_{j+1}^T images of the column.  Every worker task is awaited on every
-    exit, so none outlives the step; when one fails, its error is raised.
-    On a rank-deficient candidate the step raises Breakdown after
-    recording the column V_j^T images, so the square projected operator
-    of the basis built so far stays available.
+    conditional safety pass.  After the join the caller takes the QR of
+    the new block and its rows V_{j+1}^T images of the column.  No worker
+    task outlives the step; when one fails, its error is raised and the
+    basis is unchanged.  On a rank-deficient candidate the step raises
+    Breakdown after recording the column V_j^T images, so the square
+    projected operator of the basis built so far stays available.
     """
     if basis.breakdown_at is not None:
         raise Breakdown(
@@ -333,27 +334,21 @@ def ekba_step(basis):
 
     def hessenberg():
         images = np.column_stack([forward, ops.solve_mass(ops.apply(vj[:, b:]))])
-        return images, vs.T @ images
+        return np.linalg.norm(cand, 2), images, vs.T @ images
 
-    scale = _worker().submit(lambda: np.linalg.norm(cand, 2))
-    column = _worker().submit(hessenberg)
+    def orthogonalize():
+        w = ops.reproject(cand - vs @ (vs.T @ cand))
+        return kernels.block_gram_schmidt(w, vs)[1]
+
+    (scale, images, head), w = _overlapped(hessenberg, orthogonalize)
     try:
-        w = cand - vs @ (vs.T @ cand)
-        w = ops.reproject(w)
-        _, w = kernels.block_gram_schmidt(w, vs)
-        qr = kernels.thin_qr(w, rank_scale=scale.result())
+        qr = kernels.thin_qr(w, rank_scale=scale)
     except RankDeficient as exc:
-        basis.record(column.result()[1])
+        basis.record(head)
         basis.breakdown_at = j
         raise Breakdown(
             f"rank-deficient candidate block at step {j}", iteration=j
         ) from exc
-    finally:
-        # Every task finishes within the step; a failed one's error is
-        # raised, taking precedence as in _overlapped.
-        for future in (scale, column):
-            future.result()
-    images, head = column.result()
     basis.append(qr.q)
     basis.record(head, qr.q.T @ images)
     return basis

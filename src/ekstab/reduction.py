@@ -32,13 +32,13 @@ from .sysmodel import write_csv
 STATE_SPACE = "state_space"
 GENERALIZED = "generalized"
 
-# Block steps of a sweep group's shifted Krylov process before its open
-# points are evaluated exactly.
+# Block steps of a sweep anchor's shifted Krylov process before its open
+# points go to the next anchor.
 SWEEP_BLOCKS = 30
 # Residual, relative to the start block, at which a sweep shift is accepted.
 SWEEP_TOL = 1e-13
-# Reciprocal condition of a projected matrix below which its shift is
-# evaluated exactly.
+# Reciprocal condition of a projected matrix below which its shift goes
+# to the next anchor.
 SWEEP_RCOND = 1e-12
 
 
@@ -110,23 +110,26 @@ def build_reduced(basis, form=STATE_SPACE, order=None):
     raise ModeMismatch(f"unknown reduced form {form!r}")
 
 
+def _anchor(pair, s):
+    """(S, S B), S the pair's shifted saddle solve at s, SMW-corrected for a gain."""
+    try:
+        return pair.solver("shifted", s, with_start=True)
+    except (SingularSaddle, SingularCapture) as exc:
+        raise SingularShift(f"shift {s} hits the pencil spectrum: {exc}") from exc
+
+
 def eval_full_tf(system, s):
     """Exact transfer function [C 0] [[sM-A, -G], [-G^T, 0]]^-1 [B; 0].
 
-    ``system`` is a DescriptorSystem or an operator pair; for a
+    ``system`` is a DescriptorSystem or a forward operator pair; for a
     ClosedLoopSystem A is A - B K, solved through the shifted
-    factorization plus an SMW correction.  One complex sparse
-    factorization of the shifted saddle matrix and n_b solves; the sign
-    of the constraint blocks only flips the discarded multiplier.  This
-    is the per-shift reference: ``frequency_sweep`` uses it only for the
-    points its grouped shifted Krylov process does not accept.
+    factorization plus an SMW correction.  One sparse factorization of
+    the shifted saddle matrix, real for a float s, and n_b columns of
+    solves; the sign of the constraint blocks only flips the discarded
+    multiplier.  It is the sweep's anchor at one point.
     """
     pair = as_pair(system)
-    try:
-        x = pair.solver("shifted", s)(pair.sys.B.astype(complex))
-    except (SingularSaddle, SingularCapture) as exc:
-        raise SingularShift(f"shift {s} hits the pencil spectrum: {exc}") from exc
-    return pair.sys.C @ x
+    return pair.sys.C @ _anchor(pair, s)[1]
 
 
 def eval_reduced_tf(model, s):
@@ -159,8 +162,8 @@ class SweepResult:
     """Exact and reduced responses on one grid, and how they were computed.
 
     ``workers`` counts the threads of the sweep, ``factorizations`` the
-    shifted factorizations attempted (one anchor per group plus one per
-    fallback) and ``fallbacks`` the points evaluated by ``eval_full_tf``.
+    shifted factorizations attempted, one per anchor, and ``fallbacks``
+    the anchors beyond one per group.
     """
 
     full: FrequencyResponse
@@ -260,33 +263,30 @@ def _shifted_krylov(solve, sys_, x0, sigma, shifts):
 
 
 def _group_responses(pair, model, omegas, group):
-    """[(F, F_m) or None per point of the group], and its exact fallbacks.
+    """[(F, F_m) or None per point of the group], and its anchor count.
 
-    The middle point's shifted factorization, SMW-corrected for a closed
-    loop, is the anchor: its own response is C S B, the same arithmetic
-    as ``eval_full_tf`` (a corrector's S B reuses its cached solve of B),
-    and ``_shifted_krylov`` serves the others.  A
-    point it does not accept, and every other point of a group whose
-    anchor hits the spectrum, goes through ``eval_full_tf``.  The anchor
-    is dropped on return.
+    The middle open point is the anchor: its response is C S B
+    (``_anchor``), and ``_shifted_krylov`` serves the open points it
+    accepts; the rest stay open for the next.  An anchor that hits the
+    spectrum is skipped.  Each anchor is dropped before the next.
     """
-    anchor = group[len(group) // 2]
-    shifts = {i: 1j * omegas[i] for i in group if i != anchor}
-    full = {}
-    try:
-        solve, x0 = pair.solver("shifted", 1j * omegas[anchor], with_start=True)
-    except (SingularSaddle, SingularCapture):
-        full[anchor] = None
-    else:
-        full[anchor] = pair.sys.C @ x0
-        full.update(_shifted_krylov(solve, pair.sys, x0, 1j * omegas[anchor], shifts))
-        del solve
-    exact = [i for i in shifts if i not in full]
-    for i in exact:
+    full = dict.fromkeys(group)
+    open_ = list(group)
+    anchors = 0
+    while open_:
+        anchor = open_[len(open_) // 2]
+        sigma = 1j * omegas[anchor]
+        shifts = {i: 1j * omegas[i] for i in open_ if i != anchor}
+        anchors += 1
         try:
-            full[i] = eval_full_tf(pair, shifts[i])
+            solve, x0 = _anchor(pair, sigma)
         except SingularShift:
-            full[i] = None
+            open_ = list(shifts)
+            continue
+        full[anchor] = pair.sys.C @ x0
+        full.update(_shifted_krylov(solve, pair.sys, x0, sigma, shifts))
+        del solve
+        open_ = [i for i in shifts if full[i] is None]
     points = []
     for i in group:
         point = None
@@ -296,7 +296,7 @@ def _group_responses(pair, model, omegas, group):
             except SingularShift:
                 pass
         points.append(point)
-    return points, len(exact)
+    return points, anchors
 
 
 def frequency_sweep(system, model, w_lo=1e-5, w_hi=1e5, n_points=200):
@@ -316,8 +316,8 @@ def frequency_sweep(system, model, w_lo=1e-5, w_hi=1e5, n_points=200):
     below 1e-13 of the start block's, and within about 1e-13 relative of
     the per-shift ``eval_full_tf``.  A point not accepted within
     ``SWEEP_BLOCKS`` block steps, whose projected matrix is numerically
-    singular, or whose group's anchor factorization fails is evaluated
-    by ``eval_full_tf``, so a point on the spectrum is skipped as before.
+    singular, or whose anchor hits the spectrum stays open for the next
+    anchor, the middle open point, so a point on the spectrum is skipped.
 
     The groups are evaluated by a pool of one thread per CPU of the
     process's affinity mask (at most one per group; ``workers`` records
@@ -342,7 +342,7 @@ def frequency_sweep(system, model, w_lo=1e-5, w_hi=1e5, n_points=200):
             pool.map(lambda g: _group_responses(pair, model, omegas, g), groups)
         )
     points = [p for group_points, _ in results for p in group_points]
-    fallbacks = sum(n for _, n in results)
+    factorizations = sum(n for _, n in results)
     shape = (model.n_outputs, model.n_inputs)
     full_vals, red_vals = [], []
     full_norms = np.full(n_points, np.nan)
@@ -368,8 +368,8 @@ def frequency_sweep(system, model, w_lo=1e-5, w_hi=1e5, n_points=200):
         errors=errors,
         hinf_sample=float(finite.max()) if finite.size else np.nan,
         workers=workers,
-        factorizations=len(groups) + fallbacks,
-        fallbacks=fallbacks,
+        factorizations=factorizations,
+        fallbacks=factorizations - len(groups),
         skipped=skipped,
     )
 

@@ -445,6 +445,31 @@ class TestNoTaskOutlivesTheStep:
         assert len(futures) >= 2
         assert all(f.done() for f in futures)
 
+    def test_failed_hessenberg_solve(self, sys60, hold_back, monkeypatch):
+        # The step's second mass-block solve, the Hessenberg-only one, runs
+        # on the worker in the second overlap and fails after the caller's
+        # Gram-Schmidt passes are done.
+        basis = ekba_init(sys60, FORWARD)
+        m, steps = basis.m, basis.steps
+        calls = []
+        real = OperatorPair.solve_mass
+
+        def failing(self, rhs):
+            calls.append(threading.get_ident())
+            if len(calls) == 2:
+                time.sleep(0.2)
+                raise RuntimeError("Hessenberg solve failed")
+            return real(self, rhs)
+
+        monkeypatch.setattr(OperatorPair, "solve_mass", failing)
+        futures = hold_back()
+        with pytest.raises(RuntimeError, match="Hessenberg solve failed"):
+            ekba_step(basis)
+        assert len(calls) == 2 and threading.get_ident() not in calls
+        assert len(futures) >= 2
+        assert all(f.done() for f in futures)
+        assert (basis.m, basis.steps) == (m, steps)
+
     def test_breakdown_records_the_column(self, sys60, hold_back):
         # sys60's space null(G^T) holds 13 blocks, so the 13th step's
         # candidate is rank-deficient.

@@ -134,6 +134,24 @@ class TestEvalFullTF:
         with pytest.raises(SingularShift):
             eval_full_tf(siso, -1.0 + 0j)
 
+    def test_closed_loop_solves_b_once(self, sys60, monkeypatch):
+        # The SMW corrector's base solve of B is the only saddle solve: the
+        # corrected S B is computed from it.
+        gain = FeedbackGain(left=np.eye(sys60.n_b), right=0.5 * sys60.B.T)
+        cl = ClosedLoopSystem(sys60, gain)
+        calls = []
+        real = kernels.solve_saddle
+
+        def counting(fact, rhs, *args, **kwargs):
+            calls.append(fact.kind)
+            return real(fact, rhs, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "solve_saddle", counting)
+        f = eval_full_tf(cl, 1j)
+        assert calls == ["shifted"]
+        ref = sys60.C @ cl.solver("shifted", 1j)(sys60.B.astype(complex))
+        assert np.array_equal(f, ref)
+
 
 class TestEvalReducedTF:
     def test_scalar_analytic(self):
@@ -222,12 +240,30 @@ class TestFrequencySweep:
 
     def test_singular_point_inside_a_group_is_skipped(self):
         # omega = 1 (grid index 10) is not its group's anchor here; its
-        # projected matrix is singular, so it takes the exact path.
+        # projected matrix is singular, so it stays open and is the
+        # group's second anchor.
         sweep = frequency_sweep(
             _oscillator(), _first_order_model(), w_lo=0.1, w_hi=10.0, n_points=21
         )
         assert sweep.skipped == [10]
         assert sweep.fallbacks == 1
+
+    def test_anchor_on_the_pole_hands_its_group_to_the_next_anchor(self):
+        # The grid is one group whose first anchor, omega = 1 (index 10),
+        # is the pole: the middle of the 20 open points is the second
+        # anchor, and its Krylov process serves the other 19.
+        osc, model = _oscillator(), _first_order_model()
+        sweep = frequency_sweep(
+            osc, model, w_lo=10**-0.25, w_hi=10**0.25, n_points=21
+        )
+        assert sweep.skipped == [10]
+        assert sweep.factorizations == 2
+        assert sweep.fallbacks == 1
+        rest = [i for i in range(21) if i != 10]
+        full, _ = _serial_responses(osc, model, sweep.full.omegas[rest])
+        for i, ref in zip(rest, full):
+            f = sweep.full.values[i]
+            assert la.norm(f - ref, 2) <= 1e-12 * la.norm(ref, 2)
 
     def test_matches_a_serial_loop_bit_for_bit(self, swept):
         # The grouped shifted Krylov process agrees with the per-shift
