@@ -112,7 +112,10 @@ def _check_knobs(args, actions):
 
 
 def _parse_input_spec(spec, n_b):
-    """Input-signal flag: const[:v1,v2], step[:t_on[:v1,v2]], zero, csv:PATH."""
+    """Input-signal flag: const[:v1,v2], step[:t_on[:v1,v2]], zero, csv:PATH.
+
+    A value or time that is not finite is a ParseError.
+    """
     if spec.startswith("csv:"):
         return read_input_csv(spec.split(":", 1)[1])
     if spec == "zero":
@@ -125,6 +128,8 @@ def _parse_input_spec(spec, n_b):
         values = [float(v) for v in parts[0].split(",")] if parts else [1.0] * n_b
     except ValueError as exc:
         raise ParseError(f"input spec {spec!r}: {exc}") from exc
+    if not np.isfinite([t_on, *values]).all():
+        raise ParseError(f"input spec {spec!r} has a non-finite value")
     if len(values) != n_b:
         raise DimensionMismatch(
             f"input spec {spec!r} has {len(values)} values, expected n_b = {n_b}"

@@ -5,6 +5,9 @@ reduced on the open-loop Arnoldi basis, and its saddle problems
 [[W - c B K, G], [G^T, 0]] are solved with the factorization of the
 uncorrected block plus a rank-n_b Sherman-Morrison-Woodbury update
 (``OperatorPair.solver``), so the dense product B K is never assembled.
+An implicit-Euler step is one plain solve with the factors of M - h A;
+the input and the gain both enter through S B, that block's solve of B,
+made once per run (``_implicit_euler``).
 """
 
 import csv
@@ -15,6 +18,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
+from . import kernels
 from .arnoldi import FORWARD, OperatorPair, as_pair, ekba_basis
 from .errors import (
     DimensionMismatch,
@@ -90,7 +94,11 @@ def sampled_input(times, values):
 
 
 def read_input_csv(path):
-    """Input signal from a CSV with columns t, u_1..u_nb (zero-order hold)."""
+    """Input signal from a CSV with columns t, u_1..u_nb (zero-order hold).
+
+    Times must increase strictly and every entry must be finite, else the
+    hold would serve the wrong sample or a NaN; either is a ParseError.
+    """
     times, rows = [], []
     try:
         with open(path, newline="") as f:
@@ -103,9 +111,14 @@ def read_input_csv(path):
                     continue
                 times.append(float(row[0]))
                 rows.append([float(v) for v in row[1:]])
+        times, rows = np.asarray(times), np.asarray(rows)
     except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read input CSV {path}: {exc}") from exc
-    return sampled_input(np.asarray(times), np.asarray(rows))
+    if not (np.isfinite(times).all() and np.isfinite(rows).all()):
+        raise ParseError(f"input CSV {path} has a non-finite entry")
+    if np.any(np.diff(times) <= 0.0):
+        raise ParseError(f"input CSV {path}: times must increase strictly")
+    return sampled_input(times, rows)
 
 
 def _as_signal(u, n_b):
@@ -146,13 +159,23 @@ class Trajectory:
     states: np.ndarray | None = None
 
 
-def _implicit_euler(solver, mass, b, c, u, h, t_end, v, blowup, keep_states=False):
-    """Implicit Euler v_k = solve(mass v_{k-1} + h b u(t_k)), y_k = c v_k, from v.
+def _implicit_euler(stepping, mass, n_b, c, u, h, t_end, v, blowup, keep_states=False):
+    """Implicit Euler (mass - h (a - b k)) v_k = mass v_{k-1} + h b u(t_k), y_k = c v_k.
 
-    ``solver(h)`` is called once ``h`` and ``t_end`` are checked and the
-    record is allocated, so a bad step factors nothing.  ``h`` and
-    ``t_end`` must be finite and positive and make at least one step, and
-    no more than an array can hold.
+    The input and the gain both enter through S b, S the plain solve with
+    the uncorrected stepping matrix mass - h a: a step is the one solve
+    y = S(mass v_{k-1}) and then v_k = y + (h S b) w, where w = u(t_k)
+    without a gain and, with one, w = C^-1 u(t_k) - (C^-1 k) y, with
+    C = I + h k S b the Sherman-Morrison-Woodbury capture matrix.
+    ``stepping(h)`` returns ``(solve, hsb, feedback)``: S, h S b and
+    either None or the pair ``(C^-1, C^-1 k)``, all formed once per run.
+
+    ``stepping(h)`` is called once ``h`` and ``t_end`` are checked, the
+    record is allocated and the n_b-entry input sampled, so a bad step or
+    input factors nothing.  ``h`` and ``t_end`` must be finite and
+    positive and make at least one step, and no more than an array can
+    hold.  A state whose norm is not at most ``blowup``, NaN and inf
+    included, raises SimulationDiverged.
     """
     if not (0 < h < np.inf and 0 < t_end < np.inf):
         raise DimensionMismatch(f"need finite h > 0 and t_end > 0, got {h}, {t_end}")
@@ -160,25 +183,50 @@ def _implicit_euler(solver, mass, b, c, u, h, t_end, v, blowup, keep_states=Fals
         n_steps = int(round(t_end / h))
         times = h * np.arange(n_steps + 1)
         outputs = np.empty((n_steps + 1, c.shape[0]))
-        inputs = np.empty((n_steps + 1, b.shape[1]))
+        inputs = np.empty((n_steps + 1, n_b))
         states = np.empty((n_steps + 1, v.size)) if keep_states else None
     except (OverflowError, ValueError, MemoryError) as exc:
         raise DimensionMismatch(f"h = {h} makes too many steps: {exc}") from exc
     if n_steps == 0:
         raise DimensionMismatch(f"h = {h} makes no step up to t_end = {t_end}")
-    signal = _as_signal(u, b.shape[1])
-    solve = solver(h)
+    signal = _as_signal(u, n_b)
     for k, t in enumerate(times):
-        uk = signal(t)
+        inputs[k] = signal(t)
+    solve, hsb, feedback = stepping(h)
+    if feedback is None:
+        w, cinv_k = inputs, None
+    else:
+        cinv, cinv_k = feedback
+        w = inputs @ cinv.T
+    for k, t in enumerate(times):
         if k:
-            v = solve(mass @ v + h * (b @ uk))
-            if not np.all(np.isfinite(v)) or np.linalg.norm(v) > blowup:
+            y = solve(mass @ v)
+            v = y + hsb @ (w[k] if cinv_k is None else w[k] - cinv_k @ y)
+            if not np.linalg.norm(v) <= blowup:
                 raise SimulationDiverged(f"state blew up at t = {t:.6g}")
         outputs[k] = c @ v
-        inputs[k] = uk
         if keep_states:
             states[k] = v
     return Trajectory(times=times, outputs=outputs, inputs=inputs, states=states)
+
+
+def _dae_stepping(pair, h):
+    """``(solve, h S B, feedback)`` of the Euler block M - h A for ``_implicit_euler``.
+
+    The solve is ``kernels.solve_saddle`` as that module holds it when the
+    run starts, so a wrapper installed there sees every step.  With a gain,
+    S B and the capture matrix are those of the SMW corrector of
+    M - h (A - B K) = (M - h A) + h B K, that is c = -h, which checks it.
+    """
+    sys_ = pair.sys
+    fact = sys_.saddle("euler", h)
+    solve = partial(kernels.solve_saddle, fact)
+    k = pair.k_matrix
+    if k is None:
+        return solve, h * solve(sys_.B), None
+    smw = kernels.SmwCorrector(fact, sys_.B, k, -h)
+    cinv = la.lu_solve(smw.capture_lu, np.eye(sys_.n_b))
+    return solve, h * smw.ainv_b, (cinv, la.lu_solve(smw.capture_lu, k))
 
 
 def simulate_dae(sys_or_cl, u, h, t_end, v0=None, blowup=1e100, keep_states=False):
@@ -186,8 +234,10 @@ def simulate_dae(sys_or_cl, u, h, t_end, v0=None, blowup=1e100, keep_states=Fals
 
     Each step solves the stepping saddle system
     [[M - h A', G], [G^T, 0]] [v_{ k+1 }; *] = [M v_k + h B u_{k+1}; 0]
-    with A' = A (open loop) or A - B K (through the SMW corrector); the
-    multiplier block is discarded, outputs are y_k = C v_k.  The scaling
+    with A' = A (open loop) or A - B K; the multiplier block is
+    discarded, outputs are y_k = C v_k.  It is one plain solve with the
+    factors of M - h A, the input and the gain both entering through the
+    solve S B made once per run (see ``_implicit_euler``).  The scaling
     of the constraint blocks does not affect the returned velocity rows.
     """
     pair = as_pair(sys_or_cl)
@@ -203,17 +253,26 @@ def simulate_dae(sys_or_cl, u, h, t_end, v0=None, blowup=1e100, keep_states=Fals
         ) * max(gnorm, 1e-30):
             raise InvalidInitialState("initial state violates G^T v0 = 0")
     return _implicit_euler(
-        partial(pair.solver, "euler"), sys_.M, sys_.B, sys_.C, u, h, t_end, v,
-        blowup, keep_states,
+        partial(_dae_stepping, pair), sys_.M.tocsr(), sys_.n_b, sys_.C, u, h, t_end,
+        v, blowup, keep_states,
     )
 
 
 def simulate_reduced(model, u, h, t_end, blowup=1e100):
-    """Implicit Euler on a reduced model from a zero initial state."""
+    """Implicit Euler on a reduced model from a zero initial state.
+
+    The same loop as ``simulate_dae``, with S the dense LU solve of
+    mass - h a and S b from it.
+    """
     mass = np.eye(model.order) if model.mass is None else model.mass
+
+    def stepping(step):
+        solve = partial(la.lu_solve, la.lu_factor(mass - step * model.a))
+        return solve, step * solve(model.b), None
+
     return _implicit_euler(
-        lambda step: partial(la.lu_solve, la.lu_factor(mass - step * model.a)),
-        mass, model.b, model.c, u, h, t_end, np.zeros(model.order), blowup,
+        stepping, mass, model.b.shape[1], model.c, u, h, t_end,
+        np.zeros(model.order), blowup,
     )
 
 

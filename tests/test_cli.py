@@ -610,6 +610,36 @@ class TestErrorsAndConfig:
         assert len(err) == 1
         assert err[0].startswith("error: DimensionMismatch:")
 
+    @pytest.mark.parametrize(
+        "spec, rows",
+        [
+            ("step:nan:1,1", None),
+            ("const:nan,1", None),
+            ("step:1:1,inf", None),
+            ("csv", "2,5,5\n0,1,1\n1,3,3\n"),
+            ("csv", "0,1,1\n0,3,3\n"),
+            ("csv", "0,1,nan\n1,3,3\n"),
+        ],
+        ids=["step-nan-time", "const-nan", "step-inf", "csv-unsorted", "csv-repeated",
+             "csv-nan"],
+    )
+    def test_input_it_cannot_honour_is_parse_error_before_factoring(
+        self, bundle, tmp_path, capsys, kinds, spec, rows
+    ):
+        if rows is not None:
+            path = tmp_path / "u.csv"
+            path.write_text("t,u_1,u_2\n" + rows)
+            spec = f"csv:{path}"
+        rc = main(
+            ["simulate", "--bundle", str(bundle), "--input", spec,
+             "--out", str(tmp_path / "o")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ParseError:")
+        assert kinds == []
+
     @pytest.mark.parametrize("content", [None, "not a matrix\n"], ids=["missing", "garbage"])
     def test_unreadable_gain_is_single_line_error(
         self, bundle, tmp_path, capsys, content

@@ -23,6 +23,7 @@ from ekstab.errors import (
     DimensionMismatch,
     InvalidInitialState,
     ModeMismatch,
+    ParseError,
     SimulationDiverged,
     SingularCapture,
 )
@@ -404,6 +405,100 @@ class TestSimulateReduced:
         assert np.max(la.norm(full.outputs - red.outputs, axis=1)) <= 1e-6
 
 
+# Two switches after the first sample; h = 0.05 puts them on grid points.
+SWITCHING = dict(times=[0.0, 2.0, 6.0], values=[[1.0, -0.5], [0.3, 2.0], [-1.0, 0.0]])
+EULER_H = 0.05
+EULER_STEPS = 200
+
+
+def _dense_euler(mass, a, g, b, c, u, v0):
+    """Explicit dense implicit Euler on [[mass - h a, g], [g^T, 0]]: outputs, states."""
+    n_v, n_p = a.shape[0], g.shape[1]
+    lu = la.lu_factor(
+        np.block([[mass - EULER_H * a, g], [g.T, np.zeros((n_p, n_p))]])
+    )
+    states = [v0]
+    for k in range(1, EULER_STEPS + 1):
+        rhs = mass @ states[-1] + EULER_H * (b @ u(EULER_H * k))
+        states.append(la.lu_solve(lu, np.concatenate([rhs, np.zeros(n_p)]))[:n_v])
+    states = np.array(states)
+    return states @ c.T, states
+
+
+def _relative(x, ref):
+    return la.norm(x - ref) / la.norm(ref)
+
+
+class TestEulerStep:
+    @pytest.fixture
+    def v0(self, sys60u):
+        rhs = np.random.default_rng(8).standard_normal(sys60u.n_v)
+        return kernels.solve_saddle(sys60u.saddle("mass"), rhs)
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+    def test_matches_dense_saddle_stepping(self, sys60u, gain60, v0, closed):
+        u = sampled_input(**SWITCHING)
+        a = sys60u.A.toarray()
+        if closed:
+            a = a - sys60u.B @ gain60.matrix()
+        outputs, states = _dense_euler(
+            sys60u.M.toarray(), a, sys60u.G.toarray(), sys60u.B, sys60u.C, u, v0
+        )
+        traj = simulate_dae(
+            ClosedLoopSystem(sys60u, gain60) if closed else sys60u,
+            u, h=EULER_H, t_end=EULER_STEPS * EULER_H, v0=v0, keep_states=True,
+        )
+        assert _relative(traj.outputs, outputs) <= 1e-12
+        assert _relative(traj.states, states) <= 1e-12
+
+    @pytest.mark.parametrize("form", [STATE_SPACE, GENERALIZED])
+    def test_reduced_matches_dense_lu_stepping(self, sys60u, cl60, form):
+        _, model = reduce_closed_loop(cl60, 4, form)
+        mass = np.eye(model.order) if model.mass is None else model.mass
+        u = sampled_input(**SWITCHING)
+        lu = la.lu_factor(mass - EULER_H * model.a)
+        v = np.zeros(model.order)
+        outputs = [model.c @ v]
+        for k in range(1, EULER_STEPS + 1):
+            v = la.lu_solve(lu, mass @ v + EULER_H * (model.b @ u(EULER_H * k)))
+            outputs.append(model.c @ v)
+        traj = simulate_reduced(model, u, h=EULER_H, t_end=EULER_STEPS * EULER_H)
+        assert _relative(traj.outputs, np.array(outputs)) <= 1e-12
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+    def test_one_euler_solve_per_step_and_one_for_b(
+        self, sys60u, gain60, monkeypatch, closed
+    ):
+        solves = []
+        real = kernels.solve_saddle
+
+        def counting(fact, rhs, *args, **kwargs):
+            solves.append((fact.kind, np.shape(rhs)))
+            return real(fact, rhs, *args, **kwargs)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a step went through the SMW corrected solve")
+
+        monkeypatch.setattr(kernels, "solve_saddle", counting)
+        monkeypatch.setattr(kernels.SmwCorrector, "solve", unreachable)
+        n_steps = 30
+        simulate_dae(
+            ClosedLoopSystem(sys60u, gain60) if closed else sys60u,
+            constant_input(np.ones(sys60u.n_b)), h=EULER_H, t_end=n_steps * EULER_H,
+        )
+        assert len(solves) == n_steps + 1
+        assert {kind for kind, _ in solves} == {"euler"}
+        assert sorted(shape for _, shape in solves)[-1] == (sys60u.n_v, sys60u.n_b)
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+    def test_nan_input_diverges_at_the_first_step(self, sys60u, gain60, closed):
+        with pytest.raises(SimulationDiverged, match=r"at t = 0\.05$"):
+            simulate_dae(
+                ClosedLoopSystem(sys60u, gain60) if closed else sys60u,
+                constant_input([np.nan, 1.0]), h=EULER_H, t_end=1.0,
+            )
+
+
 class TestCostAndSignals:
     def test_zero_cost(self):
         traj = Trajectory(
@@ -448,6 +543,17 @@ class TestCostAndSignals:
         u = read_input_csv(path)
         assert np.allclose(u(0.5), [1.0, 0.5])
         assert np.allclose(u(3.0), [0.0, 1.5])
+
+    @pytest.mark.parametrize(
+        "rows",
+        ["2,5\n0,1\n1,3\n", "0,1\n0,3\n", "0,1\n1,nan\n", "inf,1\n", "0,1\n1,2,3\n"],
+        ids=["unsorted", "repeated", "nan", "inf-time", "ragged"],
+    )
+    def test_input_csv_it_cannot_honour(self, tmp_path, rows):
+        path = tmp_path / "u.csv"
+        path.write_text("t,u_1\n" + rows)
+        with pytest.raises(ParseError):
+            read_input_csv(path)
 
     def test_trajectory_csv(self, sys60, tmp_path):
         traj = simulate_dae(sys60, constant_input(np.ones(sys60.n_b)), h=0.5, t_end=2.0)
