@@ -5,9 +5,10 @@ reduced on the open-loop Arnoldi basis, and its saddle problems
 [[W - c B K, G], [G^T, 0]] are solved with the factorization of the
 uncorrected block plus a rank-n_b Sherman-Morrison-Woodbury update
 (``OperatorPair.solver``), so the dense product B K is never assembled.
-An implicit-Euler step is one plain solve with the factors of M - h A;
-the input and the gain both enter through S B, that block's solve of B,
-made once per run (``_implicit_euler``).
+An implicit-Euler step is one plain solve S with the factors of M - h A
+and then v = y + (h S'B)(u - K y), S' the solve with M - h (A - B K):
+the input and the gain both enter through S'B, which the same seam
+(``OperatorPair.solver``) makes once per run (``_implicit_euler``).
 """
 
 import csv
@@ -23,6 +24,7 @@ from .arnoldi import FORWARD, OperatorPair, as_pair, ekba_basis
 from .errors import (
     DimensionMismatch,
     InvalidInitialState,
+    ModeMismatch,
     ParseError,
     SimulationDiverged,
 )
@@ -162,13 +164,13 @@ class Trajectory:
 def _implicit_euler(stepping, mass, n_b, c, u, h, t_end, v, blowup, keep_states=False):
     """Implicit Euler (mass - h (a - b k)) v_k = mass v_{k-1} + h b u(t_k), y_k = c v_k.
 
-    The input and the gain both enter through S b, S the plain solve with
-    the uncorrected stepping matrix mass - h a: a step is the one solve
-    y = S(mass v_{k-1}) and then v_k = y + (h S b) w, where w = u(t_k)
-    without a gain and, with one, w = C^-1 u(t_k) - (C^-1 k) y, with
-    C = I + h k S b the Sherman-Morrison-Woodbury capture matrix.
-    ``stepping(h)`` returns ``(solve, hsb, feedback)``: S, h S b and
-    either None or the pair ``(C^-1, C^-1 k)``, all formed once per run.
+    A step is the one plain solve y = S(mass v_{k-1}), S the solve with the
+    uncorrected stepping matrix mass - h a, and then
+    v_k = y + (h S'b)(u(t_k) - k y), S' the solve with mass - h (a - b k):
+    by Sherman-Morrison-Woodbury S' = S - S b C^-1 h k S with
+    C = I + h k S b, so S'b = S b C^-1 and the two agree.  Without a gain
+    k y is dropped and S' = S.  ``stepping(h)`` returns
+    ``(solve, h S'b, k or None)``, formed once per run.
 
     ``stepping(h)`` is called once ``h`` and ``t_end`` are checked, the
     record is allocated and the n_b-entry input sampled, so a bad step or
@@ -192,41 +194,17 @@ def _implicit_euler(stepping, mass, n_b, c, u, h, t_end, v, blowup, keep_states=
     signal = _as_signal(u, n_b)
     for k, t in enumerate(times):
         inputs[k] = signal(t)
-    solve, hsb, feedback = stepping(h)
-    if feedback is None:
-        w, cinv_k = inputs, None
-    else:
-        cinv, cinv_k = feedback
-        w = inputs @ cinv.T
+    solve, hsb, gain = stepping(h)
     for k, t in enumerate(times):
         if k:
             y = solve(mass @ v)
-            v = y + hsb @ (w[k] if cinv_k is None else w[k] - cinv_k @ y)
+            v = y + hsb @ (inputs[k] if gain is None else inputs[k] - gain @ y)
             if not np.linalg.norm(v) <= blowup:
                 raise SimulationDiverged(f"state blew up at t = {t:.6g}")
         outputs[k] = c @ v
         if keep_states:
             states[k] = v
     return Trajectory(times=times, outputs=outputs, inputs=inputs, states=states)
-
-
-def _dae_stepping(pair, h):
-    """``(solve, h S B, feedback)`` of the Euler block M - h A for ``_implicit_euler``.
-
-    The solve is ``kernels.solve_saddle`` as that module holds it when the
-    run starts, so a wrapper installed there sees every step.  With a gain,
-    S B and the capture matrix are those of the SMW corrector of
-    M - h (A - B K) = (M - h A) + h B K, that is c = -h, which checks it.
-    """
-    sys_ = pair.sys
-    fact = sys_.saddle("euler", h)
-    solve = partial(kernels.solve_saddle, fact)
-    k = pair.k_matrix
-    if k is None:
-        return solve, h * solve(sys_.B), None
-    smw = kernels.SmwCorrector(fact, sys_.B, k, -h)
-    cinv = la.lu_solve(smw.capture_lu, np.eye(sys_.n_b))
-    return solve, h * smw.ainv_b, (cinv, la.lu_solve(smw.capture_lu, k))
 
 
 def simulate_dae(sys_or_cl, u, h, t_end, v0=None, blowup=1e100, keep_states=False):
@@ -236,11 +214,18 @@ def simulate_dae(sys_or_cl, u, h, t_end, v0=None, blowup=1e100, keep_states=Fals
     [[M - h A', G], [G^T, 0]] [v_{ k+1 }; *] = [M v_k + h B u_{k+1}; 0]
     with A' = A (open loop) or A - B K; the multiplier block is
     discarded, outputs are y_k = C v_k.  It is one plain solve with the
-    factors of M - h A, the input and the gain both entering through the
-    solve S B made once per run (see ``_implicit_euler``).  The scaling
-    of the constraint blocks does not affect the returned velocity rows.
+    factors of M - h A and then v = y + (h S'B)(u - K y), where S'B, the
+    solve of B with M - h A', comes once per run from the pair's gain
+    seam ``solver("euler", h, with_start=True)`` (see ``_implicit_euler``).
+    The plain solve is ``kernels.solve_saddle`` as that module holds it
+    when the run starts, so a wrapper installed there sees every step.
+    An adjoint pair, whose start block is C^T, is a ModeMismatch before
+    anything is factored.  The scaling of the constraint blocks does not
+    affect the returned velocity rows.
     """
     pair = as_pair(sys_or_cl)
+    if pair.adjoint:
+        raise ModeMismatch("simulation steps the forward pair, got an adjoint one")
     sys_ = pair.sys
     if v0 is None:
         v = np.zeros(sys_.n_v)
@@ -252,9 +237,15 @@ def simulate_dae(sys_or_cl, u, h, t_end, v0=None, blowup=1e100, keep_states=Fals
             np.linalg.norm(v), 1e-30
         ) * max(gnorm, 1e-30):
             raise InvalidInitialState("initial state violates G^T v0 = 0")
+
+    def stepping(step):
+        solve = partial(kernels.solve_saddle, sys_.saddle("euler", step))
+        _, sb = pair.solver("euler", step, with_start=True)
+        return solve, step * sb, pair.k_matrix
+
     return _implicit_euler(
-        partial(_dae_stepping, pair), sys_.M.tocsr(), sys_.n_b, sys_.C, u, h, t_end,
-        v, blowup, keep_states,
+        stepping, sys_.M.tocsr(), sys_.n_b, sys_.C, u, h, t_end, v, blowup,
+        keep_states,
     )
 
 

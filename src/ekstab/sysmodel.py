@@ -249,12 +249,17 @@ def load_bundle(manifest_path, validate=True):
             raise ParseError(f"manifest {manifest_path} is missing key {key}")
         p = entries[key]
         paths[key] = p if os.path.isabs(p) else os.path.join(base, p)
+    for key in ("n_v", "n_p"):
+        if not entries.get(key, "0").isdecimal():
+            raise ParseError(
+                f"manifest {manifest_path}: {key} = {entries[key]!r} is not a count"
+            )
     sys_ = load_system(paths, validate=validate)
-    for key, attr in (("n_v", "n_v"), ("n_p", "n_p")):
-        if key in entries and int(entries[key]) != getattr(sys_, attr):
+    for key in ("n_v", "n_p"):
+        if key in entries and int(entries[key]) != getattr(sys_, key):
             raise ValidationError(
                 f"dimension: manifest {key} = {entries[key]} does not match "
-                f"loaded {getattr(sys_, attr)}"
+                f"loaded {getattr(sys_, key)}"
             )
     return sys_
 
@@ -434,6 +439,8 @@ def generate_synthetic(spec):
         raise InfeasibleSpec(f"nonpositive dimensions in {spec}")
     if not spec.n_p < spec.n_v:
         raise InfeasibleSpec(f"n_p = {spec.n_p} must be < n_v = {spec.n_v}")
+    if spec.seed < 0:
+        raise InfeasibleSpec(f"seed must be nonnegative, got {spec.seed}")
     if spec.unstable is not None:
         if spec.unstable.count <= 0:
             raise InfeasibleSpec(
@@ -446,9 +453,9 @@ def generate_synthetic(spec):
     rng = np.random.default_rng(spec.seed)
     n_v = spec.n_v
     if spec.grid is not None:
-        if spec.grid.nx * spec.grid.ny != n_v:
+        if spec.grid.nx <= 0 or spec.grid.ny <= 0 or spec.grid.nx * spec.grid.ny != n_v:
             raise InfeasibleSpec(
-                f"grid {spec.grid.nx} x {spec.grid.ny} does not match n_v = {n_v}"
+                f"{spec.grid} needs positive sides with product n_v = {n_v}"
             )
         if not 0.0 <= spec.grid.viscosity < np.inf:
             raise InfeasibleSpec(

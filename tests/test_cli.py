@@ -195,6 +195,8 @@ class TestGen:
             (["--grid", "8", "8", "--nv", "64", "--np", "6", "--viscosity", "-1"],
              "InfeasibleSpec"),
             (["--np", "6"], "ValidationError"),
+            (["--grid", "-2", "-3", "--np", "1"], "InfeasibleSpec"),
+            (["--nv", "10", "--np", "3", "--seed", "-1"], "InfeasibleSpec"),
         ],
     )
     def test_bad_spec_is_single_line_error(self, argv, kind, tmp_path, capsys):

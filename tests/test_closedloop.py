@@ -4,7 +4,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from ekstab import kernels, oracle
-from ekstab.arnoldi import FORWARD, ekba_basis, ekba_init
+from ekstab.arnoldi import FORWARD, OperatorPair, ekba_basis, ekba_init
 from ekstab.closedloop import (
     ClosedLoopSystem,
     constant_input,
@@ -489,6 +489,35 @@ class TestEulerStep:
         assert len(solves) == n_steps + 1
         assert {kind for kind, _ in solves} == {"euler"}
         assert sorted(shape for _, shape in solves)[-1] == (sys60u.n_v, sys60u.n_b)
+
+    def test_singular_capture_raised_before_the_first_step(self, monkeypatch):
+        sys_ = generate_synthetic(SyntheticSpec(40, 5, n_b=1, n_c=1, seed=2))
+        fact = sys_.saddle("euler", EULER_H)
+        sb = kernels.solve_saddle(fact, sys_.B)
+        k = -sb.T / (EULER_H * (sb.T @ sb).item())  # makes I + h K S B = 0 exactly
+        gain = FeedbackGain(left=np.eye(1), right=k)
+        steps = []
+        real = kernels.solve_saddle
+
+        def counting(fact, rhs, *args, **kwargs):
+            steps.append(np.ndim(rhs))
+            return real(fact, rhs, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "solve_saddle", counting)
+        with pytest.raises(SingularCapture):
+            simulate_dae(
+                ClosedLoopSystem(sys_, gain), constant_input([1.0]),
+                h=EULER_H, t_end=EULER_STEPS * EULER_H,
+            )
+        assert 1 not in steps
+
+    def test_adjoint_pair_rejected_before_factoring(self, sys60, kinds):
+        with pytest.raises(ModeMismatch):
+            simulate_dae(
+                OperatorPair(sys60, adjoint=True), constant_input(np.ones(sys60.n_b)),
+                h=EULER_H, t_end=EULER_STEPS * EULER_H,
+            )
+        assert kinds == []
 
     @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
     def test_nan_input_diverges_at_the_first_step(self, sys60u, gain60, closed):

@@ -105,6 +105,14 @@ class TestLoadSystem:
         with pytest.raises(ParseError, match="B"):
             load_bundle(manifest)
 
+    def test_non_integer_manifest_size(self, sys60, tmp_path):
+        write_system(sys60, tmp_path)
+        manifest = tmp_path / "system.manifest"
+        text = manifest.read_text().replace(f"n_v = {sys60.n_v}", "n_v = forty")
+        manifest.write_text(text)
+        with pytest.raises(ParseError, match="n_v.*'forty'"):
+            load_bundle(manifest)
+
 
 class TestGenerateSynthetic:
     def test_stable_spectrum(self, sys60):
