@@ -179,18 +179,14 @@ def _cmd_reduce(args, sys_):
 
 
 def _sweep(args, target, model, csv_name):
-    """Sweep ``target`` against ``model`` and write ``csv_name``."""
+    """Sweep ``target`` against ``model``, write ``csv_name``; the manifest fields."""
     sweep = frequency_sweep(
         target, model, w_lo=args.wlo, w_hi=args.whi, n_points=args.points
     )
-    csv_path = _out(args, csv_name)
-    write_sweep_csv(csv_path, sweep)
-    return sweep, csv_path
-
-
-def _sweep_fields(sweep):
-    """Manifest fields on how the sweep was computed."""
+    write_sweep_csv(_out(args, csv_name), sweep)
     return {
+        "hinf_sample": sweep.hinf_sample,
+        "skipped_points": sweep.skipped,
         "sweep_workers": sweep.workers,
         "sweep_factorizations": sweep.factorizations,
         "sweep_fallbacks": sweep.fallbacks,
@@ -204,14 +200,12 @@ def _max_real(model):
 
 def _cmd_bode(args, sys_):
     model = build_reduced(ekba_basis(sys_, args.m))
-    sweep, csv_path = _sweep(args, sys_, model, "sweep.csv")
-    print(f"sweep written to {csv_path} (hinf sample {sweep.hinf_sample:.6e})")
-    return 0, {
-        "order": model.order,
-        "hinf_sample": sweep.hinf_sample,
-        "skipped_points": sweep.skipped,
-        **_sweep_fields(sweep),
-    }
+    fields = _sweep(args, sys_, model, "sweep.csv")
+    print(
+        f"sweep written to {_out(args, 'sweep.csv')} "
+        f"(hinf sample {fields['hinf_sample']:.6e})"
+    )
+    return 0, {"order": model.order, **fields}
 
 
 def _riccati_gain(args, sys_):
@@ -252,10 +246,9 @@ def _cmd_stabilize(args, sys_):
     # Held through the reduction, which shares the mass, stiffness and
     # identity factors of the Riccati basis; the sweep reads neither basis.
     del solution
-    sweep, _ = _sweep(args, cl, model, "closedloop_sweep.csv")
+    fields.update(_sweep(args, cl, model, "closedloop_sweep.csv"))
     fields["reduced_order"] = model.order
     fields["reduced_max_real"] = _max_real(model)
-    fields.update(_sweep_fields(sweep))
     if sys_.n_v <= oracle.size_cap():
         spectrum = oracle.pencil_finite_spectrum(sys_, gain)
         fields["closed_loop_max_real"] = float(spectrum.real.max())

@@ -14,7 +14,7 @@ dense projector is never formed.
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -142,25 +142,34 @@ def eval_reduced_tf(model, s):
     return model.c @ x
 
 
+def _finite_max(x):
+    """Largest finite entry of x; NaN when there is none."""
+    finite = x[np.isfinite(x)]
+    return float(finite.max()) if finite.size else np.nan
+
+
 @dataclass(frozen=True)
 class FrequencyResponse:
-    """Per-frequency transfer matrices and their largest singular values."""
+    """Transfer matrices on a grid, an (n_points, n_c, n_b) array, and their 2-norms.
+
+    A skipped point's matrix and norm are NaN.
+    """
 
     omegas: np.ndarray
-    values: list
+    values: np.ndarray
     norms: np.ndarray
 
     @property
     def hinf_sample(self):
         """Grid maximum of the 2-norms; a lower bound on the true Hinf norm."""
-        finite = self.norms[np.isfinite(self.norms)]
-        return float(finite.max()) if finite.size else np.nan
+        return _finite_max(self.norms)
 
 
 @dataclass(frozen=True)
 class SweepResult:
     """Exact and reduced responses on one grid, and how they were computed.
 
+    ``errors`` is sigma_max(F - F_m) per point, NaN at a skipped point.
     ``workers`` counts the threads of the sweep, ``factorizations`` the
     shifted factorizations attempted, one per anchor, and ``fallbacks``
     the anchors beyond one per group.
@@ -169,11 +178,19 @@ class SweepResult:
     full: FrequencyResponse
     reduced: FrequencyResponse
     errors: np.ndarray
-    hinf_sample: float
     workers: int
     factorizations: int
     fallbacks: int
-    skipped: list = field(default_factory=list)
+
+    @property
+    def hinf_sample(self):
+        """Grid maximum of the error; a lower bound on the true Hinf error norm."""
+        return _finite_max(self.errors)
+
+    @property
+    def skipped(self):
+        """Indices of the skipped points, as Python ints."""
+        return np.flatnonzero(np.isnan(self.errors)).tolist()
 
 
 def _process_cpus():
@@ -263,14 +280,16 @@ def _shifted_krylov(solve, sys_, x0, sigma, shifts):
 
 
 def _group_responses(pair, model, omegas, group):
-    """[(F, F_m) or None per point of the group], and its anchor count.
+    """(rows, anchors): one finished row per point of the group, and its anchor count.
 
-    The middle open point is the anchor: its response is C S B
-    (``_anchor``), and ``_shifted_krylov`` serves the open points it
-    accepts; the rest stay open for the next.  An anchor that hits the
-    spectrum is skipped.  Each anchor is dropped before the next.
+    A row is (F, F_m, ||F||_2, ||F_m||_2, ||F - F_m||_2), all NaN for a
+    skipped point: one no anchor served, or on a reduced-model pole.  The
+    middle open point is the anchor: its response is C S B (``_anchor``),
+    and ``_shifted_krylov`` serves the open points it accepts; the rest
+    stay open for the next.  An anchor that hits the spectrum is skipped.
+    Each anchor is dropped before the next.
     """
-    full = dict.fromkeys(group)
+    full = {}
     open_ = list(group)
     anchors = 0
     while open_:
@@ -286,27 +305,29 @@ def _group_responses(pair, model, omegas, group):
         full[anchor] = pair.sys.C @ x0
         full.update(_shifted_krylov(solve, pair.sys, x0, sigma, shifts))
         del solve
-        open_ = [i for i in shifts if full[i] is None]
-    points = []
+        open_ = [i for i in shifts if i not in full]
+    nan = np.full((model.n_outputs, model.n_inputs), np.nan, dtype=complex)
+    rows = []
     for i in group:
-        point = None
-        if full[i] is not None:
-            try:
-                point = full[i], eval_reduced_tf(model, 1j * omegas[i])
-            except SingularShift:
-                pass
-        points.append(point)
-    return points, anchors
+        try:
+            f, g = full[i], eval_reduced_tf(model, 1j * omegas[i])
+        except (KeyError, SingularShift):
+            rows.append((nan, nan, np.nan, np.nan, np.nan))
+            continue
+        rows.append((f, g, la.norm(f, 2), la.norm(g, 2), la.norm(f - g, 2)))
+    return rows, anchors
 
 
 def frequency_sweep(system, model, w_lo=1e-5, w_hi=1e5, n_points=200):
     """Sample the exact and reduced responses over a log-spaced grid.
 
     ``system`` is a DescriptorSystem or a ClosedLoopSystem.  Records
-    sigma_max(F(jw) - F_m(jw)) per point; a shift that hits the spectrum
-    is recorded in ``skipped`` and the sweep continues.  ``hinf_sample``
-    is the grid maximum of the error, a lower bound on the true Hinf
-    error norm.
+    sigma_max(F(jw) - F_m(jw)) per point.  The worker of a point's group
+    finishes it (``_group_responses``); this function only stacks the
+    rows, so ``values`` are (n_points, n_c, n_b) arrays.  A point that
+    hits the spectrum or a reduced-model pole is a NaN row, listed in
+    ``skipped``, and the sweep continues.  ``hinf_sample`` is the grid
+    maximum of the error, a lower bound on the true Hinf error norm.
 
     The grid is cut into groups of consecutive points within half a
     decade (``_sweep_groups``).  Each group costs one complex shifted
@@ -341,36 +362,16 @@ def frequency_sweep(system, model, w_lo=1e-5, w_hi=1e5, n_points=200):
         results = list(
             pool.map(lambda g: _group_responses(pair, model, omegas, g), groups)
         )
-    points = [p for group_points, _ in results for p in group_points]
+    rows = [row for group_rows, _ in results for row in group_rows]
+    full, reduced, full_norms, red_norms, errors = map(np.array, zip(*rows))
     factorizations = sum(n for _, n in results)
-    shape = (model.n_outputs, model.n_inputs)
-    full_vals, red_vals = [], []
-    full_norms = np.full(n_points, np.nan)
-    red_norms = np.full(n_points, np.nan)
-    errors = np.full(n_points, np.nan)
-    skipped = []
-    for i, point in enumerate(points):
-        if point is None:
-            skipped.append(i)
-            full_vals.append(np.full(shape, np.nan, dtype=complex))
-            red_vals.append(np.full(shape, np.nan, dtype=complex))
-            continue
-        f, g = point
-        full_vals.append(f)
-        red_vals.append(g)
-        full_norms[i] = la.norm(f, 2)
-        red_norms[i] = la.norm(g, 2)
-        errors[i] = la.norm(f - g, 2)
-    finite = errors[np.isfinite(errors)]
     return SweepResult(
-        full=FrequencyResponse(omegas=omegas, values=full_vals, norms=full_norms),
-        reduced=FrequencyResponse(omegas=omegas, values=red_vals, norms=red_norms),
+        full=FrequencyResponse(omegas=omegas, values=full, norms=full_norms),
+        reduced=FrequencyResponse(omegas=omegas, values=reduced, norms=red_norms),
         errors=errors,
-        hinf_sample=float(finite.max()) if finite.size else np.nan,
         workers=workers,
         factorizations=factorizations,
         fallbacks=factorizations - len(groups),
-        skipped=skipped,
     )
 
 

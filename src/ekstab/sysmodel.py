@@ -348,30 +348,24 @@ def _gradient_pattern(n_v, n_p, grid=None):
     On a grid the anchors are the even-even nodes, and the n_p columns
     take picks spread evenly over that whole lattice.
     """
-    rows, cols, vals = [], [], []
-    if grid is not None:
-        nx, ny = grid.nx, grid.ny
-        anchors = [2 * i * ny + 2 * j for j in range(ny // 2) for i in range(nx // 2)]
-        if len(anchors) < n_p:
-            raise InfeasibleSpec(
-                f"grid {nx} x {ny} admits at most {len(anchors)} pressure nodes"
-            )
-        picks = ((np.arange(n_p) + 0.5) * len(anchors) / n_p).astype(int)
-        for p in range(n_p):
-            a = anchors[picks[p]]
-            rows.append(a), cols.append(p), vals.append(2.0)
-            if a + 1 < n_v:
-                rows.append(a + 1), cols.append(p), vals.append(-1.0)
-            if a + ny < n_v:
-                rows.append(a + ny), cols.append(p), vals.append(-1.0)
-    else:
+    if grid is None:
         stride = max(1, n_v // n_p)  # stride 1 when pressures are dense in n_v
-        for p in range(n_p):
-            a = p * stride
-            rows.append(a), cols.append(p), vals.append(2.0)
-            if a + 1 < n_v:
-                rows.append(a + 1), cols.append(p), vals.append(-1.0)
-    return sp.csc_matrix((vals, (rows, cols)), shape=(n_v, n_p))
+        anchors, steps = np.arange(n_p) * stride, np.array([0, 1])
+    else:
+        nx, ny = grid.nx, grid.ny
+        lattice = (2 * ny * np.arange(nx // 2) + 2 * np.arange(ny // 2)[:, None]).ravel()
+        if lattice.size < n_p:
+            raise InfeasibleSpec(
+                f"grid {nx} x {ny} admits at most {lattice.size} pressure nodes"
+            )
+        picks = ((np.arange(n_p) + 0.5) * lattice.size / n_p).astype(int)
+        anchors, steps = lattice[picks], np.array([0, 1, ny])
+    # Column p: 2 on its anchor row, -1 on each row ``steps`` past it that exists.
+    rows = anchors[:, None] + steps
+    cols = np.broadcast_to(np.arange(n_p)[:, None], rows.shape)
+    vals = np.broadcast_to(np.where(steps, -1.0, 2.0), rows.shape)
+    keep = rows < n_v
+    return sp.csc_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n_v, n_p))
 
 
 def _stencil_skew(n_v, rng, grid=None, scale=0.2):

@@ -415,6 +415,20 @@ class TestSimulate:
         assert payload["max_output_error"] <= 1e-6
 
 
+    def test_zero_input(self, bundle, tmp_path):
+        rc = main(
+            ["simulate", "--bundle", str(bundle), "--input", "zero",
+             "--horizon", "1", "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        u = [j for j, name in enumerate(header) if name.startswith("u_")]
+        assert len(u) == 2
+        assert len(rows) == 21
+        assert np.all(rows[:, u] == 0.0)
+
     def test_manifest_records_the_reduced_spectral_abscissa(
         self, bundle, tmp_path, monkeypatch
     ):
@@ -582,6 +596,7 @@ class TestErrorsAndConfig:
         [
             (["simulate", "--input", "const:a"], None, "ParseError"),
             (["simulate", "--input", "const:1,2,3"], None, "DimensionMismatch"),
+            (["simulate", "--input", "ramp:1"], None, "ParseError"),
             (["verify"], "abc", "ParseError"),
             (["simulate", "--h", "1e-300", "--horizon", "1"], None, "DimensionMismatch"),
         ],

@@ -145,6 +145,12 @@ class TestClosedLoopSystem:
     def test_k_matrix_is_the_gain_array(self, sys60u, gain60):
         assert ClosedLoopSystem(sys60u, gain60).k_matrix is gain60.matrix()
 
+    @pytest.mark.parametrize("n_b, n_v", [(2, 59), (3, 60)], ids=["n_v", "n_b"])
+    def test_gain_of_the_wrong_shape_rejected(self, sys60u, n_b, n_v):
+        gain = FeedbackGain(left=np.eye(n_b), right=np.zeros((n_b, n_v)))
+        with pytest.raises(DimensionMismatch):
+            ClosedLoopSystem(sys60u, gain)
+
 
 class TestReduceClosedLoop:
     def test_zero_gain_matches_open_loop(self, sys60u):
@@ -323,6 +329,29 @@ class TestSimulateDae:
     def test_non_finite_or_stepless_run_rejected(self, sys60, kinds, h, t_end):
         with pytest.raises(DimensionMismatch):
             simulate_dae(sys60, zero_input(sys60.n_b), h=h, t_end=t_end)
+        assert kinds == []
+
+    @pytest.mark.parametrize(
+        "closed, u, signal",
+        [
+            (True, np.ones(2), constant_input(np.ones(2))),
+            (False, 0.5, constant_input([0.5, 0.5])),
+            (False, None, zero_input(2)),
+        ],
+        ids=["array", "scalar", "none"],
+    )
+    def test_array_scalar_and_none_inputs(self, sys60u, cl60, closed, u, signal):
+        # An array is how a caller passes a constant input without building
+        # a signal; it runs exactly as the signal it stands for.
+        target = cl60 if closed else sys60u
+        traj = simulate_dae(target, u, h=0.1, t_end=2.0)
+        ref = simulate_dae(target, signal, h=0.1, t_end=2.0)
+        assert np.array_equal(traj.inputs, ref.inputs)
+        assert np.array_equal(traj.outputs, ref.outputs)
+
+    def test_input_array_of_the_wrong_size_rejected(self, sys60, kinds):
+        with pytest.raises(DimensionMismatch):
+            simulate_dae(sys60, np.ones(3), h=0.1, t_end=1.0)
         assert kinds == []
 
     def test_invalid_initial_state(self, sys60):

@@ -248,6 +248,26 @@ class TestFrequencySweep:
         assert sweep.skipped == [10]
         assert sweep.fallbacks == 1
 
+    def test_point_on_a_reduced_pole_is_a_nan_row(self, siso):
+        # The reduced model's poles +-i sit on the grid at omega = 1 (index
+        # 4); the full model is finite there, the reduced one is not.
+        model = ReducedModel(
+            form=STATE_SPACE,
+            a=np.array([[0.0, 1.0], [-1.0, 0.0]]),
+            b=np.array([[0.0], [1.0]]),
+            c=np.array([[1.0, 0.0]]),
+        )
+        sweep = frequency_sweep(siso, model, w_lo=1e-2, w_hi=1e2, n_points=9)
+        assert sweep.skipped == [4]
+        assert all(type(i) is int for i in sweep.skipped)
+        for column in (sweep.errors, sweep.full.norms, sweep.reduced.norms):
+            assert np.isnan(column[4])
+            assert np.isfinite(np.delete(column, 4)).all()
+        assert sweep.full.values.shape == sweep.reduced.values.shape == (9, 1, 1)
+        assert np.isnan(sweep.full.values[4]).all()
+        assert np.isnan(sweep.reduced.values[4]).all()
+        assert np.isfinite(np.delete(sweep.reduced.values, 4, axis=0)).all()
+
     def test_anchor_on_the_pole_hands_its_group_to_the_next_anchor(self):
         # The grid is one group whose first anchor, omega = 1 (index 10),
         # is the pole: the middle of the 20 open points is the second

@@ -138,6 +138,34 @@ class TestEbaraSolve:
         orders = [m for m, _ in sol.residual_history]
         assert orders == list(range(1, sol.iterations + 1))
 
+    def test_order_without_stabilizing_solution_only_enlarges_the_space(
+        self, sys60u, monkeypatch
+    ):
+        orders = []
+        real = riccati.care_dense
+
+        def failing_at_order_one(t, bt, ct):
+            orders.append(t.shape[0])
+            if len(orders) == 1:
+                raise NoStabilizingSolution("planted at order 1")
+            return real(t, bt, ct)
+
+        monkeypatch.setattr(riccati, "care_dense", failing_at_order_one)
+        sol = ebara_solve(sys60u, tol=1e-8)
+        assert sol.converged
+        assert sol.residual_history[0][0] == 2
+        assert len(orders) == sol.iterations
+
+    def test_no_stabilizing_solution_at_the_last_order_raises(
+        self, sys60u, monkeypatch
+    ):
+        def failing(t, bt, ct):
+            raise NoStabilizingSolution("planted at every order")
+
+        monkeypatch.setattr(riccati, "care_dense", failing)
+        with pytest.raises(NoStabilizingSolution):
+            ebara_solve(sys60u, tol=1e-8, m_max=3)
+
     def test_order_cap_beyond_a_full_basis(self, sys60u):
         sol = ebara_solve(sys60u, tol=1e-8, m_max=10**15)
         assert sol.converged
