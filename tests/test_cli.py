@@ -596,9 +596,9 @@ class TestErrorsAndConfig:
         [
             (["simulate", "--input", "const:a"], None, "ParseError"),
             (["simulate", "--input", "const:1,2,3"], None, "DimensionMismatch"),
-            (["simulate", "--input", "ramp:1"], None, "ParseError"),
             (["verify"], "abc", "ParseError"),
             (["simulate", "--h", "1e-300", "--horizon", "1"], None, "DimensionMismatch"),
+            (["simulate", "--input", "ramp:1"], None, "ParseError"),
         ],
     )
     def test_bad_input_is_single_line_error(
