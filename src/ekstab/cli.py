@@ -30,7 +30,7 @@ from .closedloop import (
     write_trajectory_csv,
     zero_input,
 )
-from .errors import DimensionMismatch, EkstabError, ParseError, ValidationError
+from .errors import EkstabError, ParseError, ValidationError
 from .reduction import (
     GENERALIZED,
     STATE_SPACE,
@@ -114,7 +114,8 @@ def _check_knobs(args, actions):
 def _parse_input_spec(spec, n_b):
     """Input-signal flag: const[:v1,v2], step[:t_on[:v1,v2]], zero, csv:PATH.
 
-    A value or time that is not finite is a ParseError.
+    A value or time that is not finite is a ParseError; the stepper
+    checks the signal's width, as it does for every input.
     """
     if spec.startswith("csv:"):
         return read_input_csv(spec.split(":", 1)[1])
@@ -130,10 +131,6 @@ def _parse_input_spec(spec, n_b):
         raise ParseError(f"input spec {spec!r}: {exc}") from exc
     if not np.isfinite([t_on, *values]).all():
         raise ParseError(f"input spec {spec!r} has a non-finite value")
-    if len(values) != n_b:
-        raise DimensionMismatch(
-            f"input spec {spec!r} has {len(values)} values, expected n_b = {n_b}"
-        )
     return step_input(values, t_on if kind == "step" else -np.inf)
 
 

@@ -123,29 +123,26 @@ def read_input_csv(path):
     return sampled_input(times, rows)
 
 
-def _as_signal(u, n_b):
-    """A callable input signal with n_b entries per sample.
+def _sample_input(u, times, table):
+    """Fill ``table``, one row of n_b entries per time, with the input's samples.
 
-    A callable ``u`` is sampled once, at t = 0, where every simulation
-    starts; a sample of another shape (a CSV with the wrong column count,
-    say) is a DimensionMismatch here rather than a broadcast error
-    mid-run.
+    ``None`` is zero.  An array or scalar is read flat and held for all t;
+    one entry is broadcast to all n_b.  A callable is called once at each
+    time.  Every sample must have shape (n_b,), else it is a
+    DimensionMismatch: this is the one width check of every input.  A
+    non-finite sample is kept; the step it enters diverges.
     """
-    if u is None:
-        return zero_input(n_b)
-    if callable(u):
-        shape = np.shape(u(0.0))
-        if shape != (n_b,):
+    n_b = table.shape[1]
+    if not callable(u):
+        flat = np.ravel(np.asarray(0.0 if u is None else u, dtype=float))
+        u = constant_input(np.full(n_b, flat[0]) if flat.size == 1 else flat)
+    for k, t in enumerate(times):
+        sample = u(t)
+        if np.shape(sample) != (n_b,):
             raise DimensionMismatch(
-                f"input signal gives samples of shape {shape}, expected ({n_b},)"
+                f"input at t = {t:.6g} has shape {np.shape(sample)}, expected ({n_b},)"
             )
-        return u
-    values = np.atleast_1d(np.asarray(u, dtype=float))
-    if values.size == 1 and n_b > 1:
-        values = np.full(n_b, values[0])
-    if values.size != n_b:
-        raise DimensionMismatch(f"input has {values.size} entries, expected {n_b}")
-    return constant_input(values)
+        table[k] = sample
 
 
 @dataclass(frozen=True)
@@ -173,11 +170,11 @@ def _implicit_euler(stepping, mass, n_b, c, u, h, t_end, v, blowup, keep_states=
     ``(solve, h S'b, k or None)``, formed once per run.
 
     ``stepping(h)`` is called once ``h`` and ``t_end`` are checked, the
-    record is allocated and the n_b-entry input sampled, so a bad step or
-    input factors nothing.  ``h`` and ``t_end`` must be finite and
-    positive and make at least one step, and no more than an array can
-    hold.  A state whose norm is not at most ``blowup``, NaN and inf
-    included, raises SimulationDiverged.
+    record is allocated and ``_sample_input`` has filled its input table
+    (checking the input's width), so a bad step or input factors nothing.
+    ``h`` and ``t_end`` must be finite and positive and make at least one
+    step, and no more than an array can hold.  A state whose norm is not
+    at most ``blowup``, NaN and inf included, raises SimulationDiverged.
     """
     if not (0 < h < np.inf and 0 < t_end < np.inf):
         raise DimensionMismatch(f"need finite h > 0 and t_end > 0, got {h}, {t_end}")
@@ -191,9 +188,7 @@ def _implicit_euler(stepping, mass, n_b, c, u, h, t_end, v, blowup, keep_states=
         raise DimensionMismatch(f"h = {h} makes too many steps: {exc}") from exc
     if n_steps == 0:
         raise DimensionMismatch(f"h = {h} makes no step up to t_end = {t_end}")
-    signal = _as_signal(u, n_b)
-    for k, t in enumerate(times):
-        inputs[k] = signal(t)
+    _sample_input(u, times, inputs)
     solve, hsb, gain = stepping(h)
     for k, t in enumerate(times):
         if k:
@@ -219,9 +214,12 @@ def simulate_dae(sys_or_cl, u, h, t_end, v0=None, blowup=1e100, keep_states=Fals
     seam ``solver("euler", h, with_start=True)`` (see ``_implicit_euler``).
     The plain solve is ``kernels.solve_saddle`` as that module holds it
     when the run starts, so a wrapper installed there sees every step.
-    An adjoint pair, whose start block is C^T, is a ModeMismatch before
-    anything is factored.  The scaling of the constraint blocks does not
-    affect the returned velocity rows.
+    ``u`` is None (zero), a scalar or an array read flat (one entry or
+    n_b, held for all t), or a callable giving (n_b,) samples, called
+    once per grid time.  An input of another width (DimensionMismatch)
+    and an adjoint pair, whose start block is C^T (ModeMismatch), are
+    rejected before anything is factored.  The scaling of the constraint
+    blocks does not affect the returned velocity rows.
     """
     pair = as_pair(sys_or_cl)
     if pair.adjoint:

@@ -60,8 +60,8 @@ class SaddleFactorization:
     "shifted", "euler", "identity"); ``shift`` carries the scalar for
     shifted blocks.  The factors are those of
     [[W, scale G], [scale G^T, 0]], ordered by ``ordering``; the velocity
-    rows of a solve do not depend on ``scale``.  The n_p = 0 degenerate
-    case factors W alone.  ``dtype`` is the factors' dtype, read without
+    rows of a solve do not depend on ``scale``; with n_p = 0 the matrix
+    factored is W alone.  ``dtype`` is the factors' dtype, read without
     building SuperLU's copies of L and U.
     """
 
@@ -128,10 +128,7 @@ def factor_saddle(W, G, kind="custom", shift=None):
     w_max = np.abs(W.data).max() if W.nnz else 0.0
     g_max = np.abs(G.data).max() if G.nnz else 0.0
     scale = float(w_max / g_max) if w_max and g_max else 1.0
-    if n_p == 0:
-        K = W
-    else:
-        K = sp.bmat([[W, scale * G], [scale * G.T, None]], format="csc")
+    K = sp.bmat([[W, scale * G], [scale * G.T, None]], format="csc")
     try:
         lu = splu(K, **SPLU_OPTIONS)
     except RuntimeError as exc:
@@ -254,21 +251,23 @@ def thin_qr(X, rank_scale=None):
 def block_gram_schmidt(candidate, basis):
     """Orthogonalize a block against the columns of an orthonormal matrix.
 
-    ``basis`` is the n x k orthonormal matrix (k may be 0).  One
-    classical Gram-Schmidt pass h = V^T W, W -= V h is two matrix
-    products over all k columns at once, with a single
+    ``basis`` is the n x k orthonormal matrix (k may be 0), real or
+    complex.  One classical Gram-Schmidt pass h = V^H W, W -= V h is two
+    matrix products over all k columns at once, with a single
     reorthogonalization pass applied when any column norm drops by more
-    than REORTH_RATIO.  Returns the k x b coefficient matrix (second-pass
-    corrections accumulated) and the orthogonalized candidate.
+    than REORTH_RATIO.  V^H W is taken as the conjugate of V^T conj(W),
+    so no conjugate copy of V is made (and none of W when it is real).
+    Returns the k x b coefficient matrix (second-pass corrections
+    accumulated) and the orthogonalized candidate, a copy.
     """
-    W = np.array(candidate, dtype=float, copy=True)
+    W = np.array(candidate, copy=True)
     before = la.norm(W, axis=0)
-    coeffs = basis.T @ W
+    coeffs = (basis.T @ W.conj()).conj()
     W -= basis @ coeffs
     after = la.norm(W, axis=0)
     scale = np.where(before > 0.0, before, 1.0)
     if np.any(after < REORTH_RATIO * scale):
-        h = basis.T @ W
+        h = (basis.T @ W.conj()).conj()
         W -= basis @ h
         coeffs += h
     return coeffs, W

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
+from . import kernels
 from .arnoldi import FORWARD, as_pair, projected_input
 from .errors import (
     DimensionMismatch,
@@ -136,8 +137,8 @@ def eval_reduced_tf(model, s):
     """Reduced transfer function c (s I - a)^-1 b (or c (s m - a)^-1 b)."""
     lhs = s * np.eye(model.order) if model.mass is None else s * model.mass
     try:
-        x = la.solve(lhs - model.a, model.b.astype(complex))
-    except la.LinAlgError as exc:
+        x = np.linalg.solve(lhs - model.a, model.b)
+    except np.linalg.LinAlgError as exc:
         raise SingularShift(f"shift {s} is a reduced-model eigenvalue") from exc
     return model.c @ x
 
@@ -231,7 +232,8 @@ def _shifted_krylov(solve, sys_, x0, sigma, shifts):
 
     With S the saddle solve at sigma, the solution x(s) of the block at s
     satisfies (I - (sigma - s) S M) x(s) = S B = x0 = Q_0 R_0.  One block
-    Arnoldi process on S M from Q_0 (full Gram-Schmidt, twice) gives
+    Arnoldi process on S M from Q_0 (``kernels.block_gram_schmidt``:
+    full classical Gram-Schmidt, repeated when a column's norm drops) gives
     S M V_k = V_k H_k + Q_k R_k E_k^T (Q_k R_k the QR of the k-th step's
     orthogonalized block), so the Galerkin solution V_k y of
     (I - (sigma - s) H_k) y = E_1 R_0 leaves the residual
@@ -259,11 +261,7 @@ def _shifted_krylov(solve, sys_, x0, sigma, shifts):
         cv[:, cols - nb : cols] = sys_.C @ q
         v = basis[:, :cols]
         w = solve(sys_.M @ q)
-        for _ in range(2):
-            # V^H w as the conjugate of V^T conj(w): no conjugate copy of V.
-            h = (v.T @ w.conj()).conj()
-            w -= v @ h
-            hess[:cols, cols - nb : cols] += h
+        hess[:cols, cols - nb : cols], w = kernels.block_gram_schmidt(w, v)
         q, r = np.linalg.qr(w)
         hess[cols : cols + nb, cols - nb : cols] = r
         rhs = np.zeros((cols, nb), dtype=complex)

@@ -255,6 +255,15 @@ class TestContiguousBasis:
         with pytest.raises(DimensionMismatch):
             basis.t_next(order)
 
+    @pytest.mark.parametrize(
+        "view, index", [("block", -1), ("block", 4), ("V", 0), ("V", 5)]
+    )
+    def test_view_outside_the_basis_rejected(self, sys60, view, index):
+        basis = ekba_basis(sys60, 3, FORWARD)
+        assert basis.m == 4
+        with pytest.raises(DimensionMismatch, match="basis holds 4 blocks"):
+            getattr(basis, view)(index)
+
     def test_reserve_is_capped_at_a_full_basis(self, sys60):
         basis = ekba_basis(sys60, 10**12, FORWARD)
         assert basis.m * basis.width == sys60.n_v - sys60.n_p
@@ -279,6 +288,12 @@ class TestProjectedInput:
         assert bm.shape == (basis.width, sys60.n_b)
         assert np.array_equal(bm[: sys60.n_b], basis.lam11)
         assert np.all(bm[sys60.n_b :] == 0.0)
+
+    @pytest.mark.parametrize("order", [0, 5])
+    def test_order_outside_the_basis_rejected(self, sys60, order):
+        basis = ekba_basis(sys60, 3, FORWARD)
+        with pytest.raises(DimensionMismatch, match=f"order {order} out of range"):
+            projected_input(basis, order)
 
     def test_matches_saddle_solve(self, sys60):
         m = 4

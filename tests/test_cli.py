@@ -312,6 +312,19 @@ class TestBode:
         assert err == ["error: ValidationError: config: wlo must be positive"]
         assert not out.exists()
 
+    def test_inverted_frequency_range_is_single_line_error(
+        self, bundle, tmp_path, capsys
+    ):
+        out = tmp_path / "o"
+        rc = main(
+            ["bode", "--bundle", str(bundle), "--wlo", "10", "--whi", "1",
+             "--out", str(out)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: ValidationError: config: need wlo < whi"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["reduce", "bode", "stabilize"])
     def test_order_zero_is_single_line_error(self, bundle, tmp_path, capsys, command):
         out = tmp_path / "o"
@@ -577,6 +590,17 @@ class TestErrorsAndConfig:
         cfg.write_text("cap = 600\n")
         assert main(["verify", "--bundle", str(bundle), "--config", str(cfg)]) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    def test_config_key_naming_no_flag_is_ignored(self, bundle, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("points = x\nno_such_flag = 1\nm = 3\n")
+        out = tmp_path / "o"
+        assert main(
+            ["reduce", "--bundle", str(bundle), "--config", str(cfg), "--out", str(out)]
+        ) == 0
+        config = json.loads((out / "run_manifest.json").read_text())["config"]
+        assert config["m"] == 3
+        assert "points" not in config and "no_such_flag" not in config
 
     @pytest.mark.parametrize("line", ["m = x", "form = bogus"])
     def test_invalid_config_value(self, bundle, tmp_path, capsys, line):

@@ -337,8 +337,9 @@ class TestSimulateDae:
             (True, np.ones(2), constant_input(np.ones(2))),
             (False, 0.5, constant_input([0.5, 0.5])),
             (False, None, zero_input(2)),
+            (False, np.ones((2, 1)), constant_input(np.ones(2))),
         ],
-        ids=["array", "scalar", "none"],
+        ids=["array", "scalar", "none", "column"],
     )
     def test_array_scalar_and_none_inputs(self, sys60u, cl60, closed, u, signal):
         # An array is how a caller passes a constant input without building
@@ -352,6 +353,16 @@ class TestSimulateDae:
     def test_input_array_of_the_wrong_size_rejected(self, sys60, kinds):
         with pytest.raises(DimensionMismatch):
             simulate_dae(sys60, np.ones(3), h=0.1, t_end=1.0)
+        assert kinds == []
+
+    def test_signal_whose_sample_shape_changes_mid_run_rejected(self, sys60, kinds):
+        # Every sample is checked, not only the first: a narrow sample at
+        # t = 0.5 is refused before anything is factored.
+        def u(t):
+            return np.ones(2) if t < 0.5 else np.ones(1)
+
+        with pytest.raises(DimensionMismatch, match=r"t = 0\.5 .*\(1,\)"):
+            simulate_dae(sys60, u, h=0.1, t_end=1.0)
         assert kinds == []
 
     def test_invalid_initial_state(self, sys60):
@@ -612,6 +623,31 @@ class TestCostAndSignals:
         path.write_text("t,u_1\n" + rows)
         with pytest.raises(ParseError):
             read_input_csv(path)
+
+    @pytest.mark.parametrize(
+        "text", ["", "\nt,u_1\n0,1\n", "time,u_1\n0,1\n"], ids=["empty", "blank", "time"]
+    )
+    def test_input_csv_needs_a_t_header(self, tmp_path, text):
+        path = tmp_path / "u.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="'t' header"):
+            read_input_csv(path)
+
+    def test_input_csv_skips_a_blank_line(self, tmp_path):
+        path = tmp_path / "u.csv"
+        path.write_text("t,u_1,u_2\n0.0,1.0,0.5\n\n2.0,0.0,1.5\n")
+        u = read_input_csv(path)
+        assert np.array_equal(u(0.5), [1.0, 0.5])
+        assert np.array_equal(u(3.0), [0.0, 1.5])
+
+    def test_non_finite_trajectory_has_no_cost(self):
+        traj = Trajectory(
+            times=np.linspace(0.0, 1.0, 3),
+            outputs=np.array([[0.0], [np.nan], [1.0]]),
+            inputs=np.zeros((3, 1)),
+        )
+        with pytest.raises(SimulationDiverged):
+            cost_quadrature(traj)
 
     def test_trajectory_csv(self, sys60, tmp_path):
         traj = simulate_dae(sys60, constant_input(np.ones(sys60.n_b)), h=0.5, t_end=2.0)

@@ -109,6 +109,17 @@ class TestBuildReduced:
         with pytest.raises(ModeMismatch):
             build_reduced(basis, STATE_SPACE)
 
+    @pytest.mark.parametrize("order", [0, 4])
+    def test_order_outside_the_basis_rejected(self, sys60, order):
+        basis = ekba_basis(sys60, 3, FORWARD)
+        with pytest.raises(DimensionMismatch, match="basis supports 1..3"):
+            build_reduced(basis, STATE_SPACE, order=order)
+
+    def test_unknown_form_rejected(self, sys60):
+        basis = ekba_basis(sys60, 2, FORWARD)
+        with pytest.raises(ModeMismatch, match="unknown reduced form"):
+            build_reduced(basis, "descriptor")
+
 
 class TestEvalFullTF:
     def test_matches_theta_oracle(self, sys60, proj60):

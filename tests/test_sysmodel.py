@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,6 +113,55 @@ class TestLoadSystem:
         manifest.write_text(text)
         with pytest.raises(ParseError, match="n_v.*'forty'"):
             load_bundle(manifest)
+
+
+    def test_manifest_size_that_disagrees_with_the_matrices(self, sys60, tmp_path):
+        write_system(sys60, tmp_path)
+        manifest = tmp_path / "system.manifest"
+        text = manifest.read_text().replace(f"n_v = {sys60.n_v}", "n_v = 61")
+        manifest.write_text(text)
+        with pytest.raises(ValidationError, match="manifest n_v = 61 .* loaded 60"):
+            load_bundle(manifest)
+
+    def test_manifest_line_without_equals_sign(self, sys60, tmp_path):
+        write_system(sys60, tmp_path)
+        manifest = tmp_path / "system.manifest"
+        manifest.write_text(manifest.read_text() + "n_b 2\n")
+        with pytest.raises(ParseError, match="malformed manifest line"):
+            load_bundle(manifest)
+
+
+def _tiny_system():
+    """Four velocities, one pressure, one input and one output; it validates."""
+    return DescriptorSystem(
+        M=sp.eye(4, format="csc"),
+        A=-sp.eye(4, format="csc"),
+        G=sp.csc_matrix(np.array([[1.0], [-1.0], [0.0], [0.0]])),
+        B=np.ones((4, 1)),
+        C=np.ones((1, 4)),
+    )
+
+
+class TestValidate:
+    def test_tiny_system_validates(self):
+        _tiny_system().validate()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("A", -sp.eye(3, format="csc"), "dimension: M .* and A"),
+            ("G", sp.csc_matrix(np.ones((3, 1))), "dimension: G has 3 rows"),
+            ("B", np.ones(4), "dimension: B shape"),
+            ("C", np.ones((1, 3)), "dimension: C shape"),
+            ("G", sp.csc_matrix(np.eye(4)), "dimension: n_p = 4 must be < n_v = 4"),
+            ("M", sp.csc_matrix(np.eye(4) + np.eye(4, k=1)), "symmetry"),
+        ],
+        ids=["A-shape", "G-rows", "B-shape", "C-shape", "n_p", "M-asymmetric"],
+    )
+    def test_each_structural_defect_rejected(self, field, value, message):
+        bad = replace(_tiny_system(), **{field: value})
+        with pytest.raises(ValidationError, match=message):
+            bad.validate()
 
 
 class TestGenerateSynthetic:
