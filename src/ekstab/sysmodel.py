@@ -11,7 +11,7 @@ import csv
 import os
 import weakref
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.io as sio
@@ -112,7 +112,15 @@ class DescriptorSystem:
         return (self.n_v, self.n_p, self.n_b, self.n_c)
 
     def validate(self):
-        """Check the structural invariants, naming the violated one on failure."""
+        """Check the structural invariants, naming the violated one on failure.
+
+        Shapes come first: M and A square n_v x n_v, G with n_v rows and
+        n_p < n_v columns (n_p = 0 is allowed), B n_v x n_b and C
+        n_c x n_v with n_b, n_c >= 1.  Then M must be symmetric within
+        ``SYM_TOL`` relative in the Frobenius norm, and at desk scale
+        (n_v <= ``oracle.SIZE_CAP_DEFAULT``) positive definite with G of
+        full column rank.  Returns the system.
+        """
         n_v = self.M.shape[0]
         if self.M.shape != (n_v, n_v) or self.A.shape != (n_v, n_v):
             raise ValidationError(
@@ -123,9 +131,9 @@ class DescriptorSystem:
             raise ValidationError(
                 f"dimension: G has {self.G.shape[0]} rows, expected {n_v}"
             )
-        if self.B.ndim != 2 or self.B.shape[0] != n_v:
+        if self.B.ndim != 2 or self.B.shape[0] != n_v or not self.n_b:
             raise ValidationError(f"dimension: B shape {self.B.shape}")
-        if self.C.ndim != 2 or self.C.shape[1] != n_v:
+        if self.C.ndim != 2 or self.C.shape[1] != n_v or not self.n_c:
             raise ValidationError(f"dimension: C shape {self.C.shape}")
         if not self.n_p < n_v:
             raise ValidationError(f"dimension: n_p = {self.n_p} must be < n_v = {n_v}")
@@ -154,9 +162,17 @@ class DescriptorSystem:
 def _read_matrix(path, key, dense=False):
     """Matrix ``key`` of an array- or coordinate-format Matrix Market file.
 
-    CSC, or a 2-D float array if ``dense``; NaN or Inf entries are rejected.
+    CSC, or a 2-D float array if ``dense``.  The header is read first: a
+    complex field, or an array-format file with no entries, is a
+    ParseError before the body is read (real, integer and pattern fields
+    load).  NaN or Inf entries are rejected.
     """
     try:
+        rows, cols, _, fmt, kind, _ = sio.mminfo(path)
+        if kind == "complex" or (fmt == "array" and not rows * cols):
+            raise ParseError(
+                f"unsupported Matrix Market file {path}: {fmt} {kind} {rows} x {cols}"
+            )
         mat = sio.mmread(path)
     except (ValueError, OSError, TypeError) as exc:
         raise ParseError(f"cannot read Matrix Market file {path}: {exc}") from exc
@@ -194,28 +210,23 @@ def write_csv(path, header, rows):
 def load_system(paths, validate=True):
     """Assemble a DescriptorSystem from per-matrix Matrix Market files.
 
-    ``paths`` maps the keys M, A, G, B, C to file paths.  A NaN or Inf
-    stored entry in any of them is rejected.  M is symmetrized when its
-    relative asymmetry is below 1e-12 and rejected otherwise; B and C
-    are densified.
+    ``paths`` maps the keys M, A, G, B, C to file paths; a missing key is
+    a ParseError.  Each file is read by ``_read_matrix`` (B and C
+    densified).  With ``validate`` the system, M as read, is checked by
+    ``DescriptorSystem.validate``, the one structural check: shapes, M's
+    symmetry within ``SYM_TOL``, then the desk-scale dense checks.
+    ``validate=False`` skips all of them.  The returned M is symmetrized
+    exactly, (M + M^T) / 2.
     """
     missing = [k for k in _MATRIX_KEYS if k not in paths]
     if missing:
         raise ParseError(f"missing matrix paths: {missing}")
     M, A, G = (_read_matrix(paths[k], k) for k in ("M", "A", "G"))
     B, C = (_read_matrix(paths[k], k, dense=True) for k in ("B", "C"))
-    # NaN entries, already rejected, would pass this: a NaN norm compares False.
-    nrm = sp.linalg.norm(M)
-    asym = sp.linalg.norm(M - M.T)
-    if nrm > 0 and asym > SYM_TOL * nrm:
-        raise ValidationError(
-            f"symmetry: loaded M has relative asymmetry {asym / nrm:.3e}"
-        )
-    M = ((M + M.T) * 0.5).tocsc()
     sys_ = DescriptorSystem(M=M, A=A, G=G, B=B, C=C)
     if validate:
         sys_.validate()
-    return sys_
+    return replace(sys_, M=((M + M.T) * 0.5).tocsc())
 
 
 def read_key_values(path, what):
@@ -240,15 +251,16 @@ def read_key_values(path, what):
 
 
 def load_bundle(manifest_path, validate=True):
-    """Load a system from a key-value manifest referencing the matrix files."""
+    """Load a system from a key-value manifest referencing the matrix files.
+
+    A relative matrix path is taken from the manifest's directory, an
+    absolute one as it is.  ``n_v`` and ``n_p``, when present, must be
+    counts that match the loaded matrices; ``load_system`` reads and
+    checks the rest.
+    """
     entries = read_key_values(manifest_path, "manifest")
     base = os.path.dirname(os.path.abspath(manifest_path))
-    paths = {}
-    for key in _MATRIX_KEYS:
-        if key not in entries:
-            raise ParseError(f"manifest {manifest_path} is missing key {key}")
-        p = entries[key]
-        paths[key] = p if os.path.isabs(p) else os.path.join(base, p)
+    paths = {k: os.path.join(base, entries[k]) for k in _MATRIX_KEYS if k in entries}
     for key in ("n_v", "n_p"):
         if not entries.get(key, "0").isdecimal():
             raise ParseError(

@@ -502,6 +502,26 @@ class TestErrorsAndConfig:
         assert len(err) == 1
         assert err[0].startswith("error: ValidationError: finite: B ")
 
+    def test_empty_array_matrix_is_single_line_error(self, bundle, tmp_path):
+        # In a child process: a reader that crashes on this file kills the
+        # child, not the test run.
+        data = tmp_path / "bundle"
+        shutil.copytree(bundle.parent, data)
+        (data / "B.mtx").write_text("%%MatrixMarket matrix array real general\n0 2\n")
+        paths = [str(Path(ekstab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        result = subprocess.run(
+            [sys.executable, "-m", "ekstab.cli", "reduce",
+             "--bundle", str(data / "system.manifest"), "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        )
+        assert result.returncode == 1
+        err = result.stderr.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ParseError:")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command, dest", FLOAT_FLAGS)
     def test_non_finite_float_flag_is_single_line_error(

@@ -151,6 +151,11 @@ class TestClosedLoopSystem:
         with pytest.raises(DimensionMismatch):
             ClosedLoopSystem(sys60u, gain)
 
+    def test_euler_corrector_is_the_euler_solver(self, sys60u, cl60):
+        rhs = np.random.default_rng(6).standard_normal((sys60u.n_v, 2))
+        x = cl60.euler_corrector(0.1)(rhs)
+        assert np.array_equal(x, cl60.solver("euler", 0.1)(rhs))
+
 
 class TestReduceClosedLoop:
     def test_zero_gain_matches_open_loop(self, sys60u):

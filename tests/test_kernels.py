@@ -117,6 +117,10 @@ class TestFactorSaddle:
         with pytest.raises(DimensionMismatch):
             solve_saddle(f, np.ones(3))
 
+    def test_constraint_block_of_the_wrong_height_rejected(self):
+        with pytest.raises(DimensionMismatch, match="2 rows, expected 3"):
+            factor_saddle(np.eye(3), np.ones((2, 1)))
+
 
 class TestSolveSaddle:
     def test_rhs_in_range_of_g(self):
@@ -283,6 +287,10 @@ class TestThinQR:
         rng = np.random.default_rng(10)
         f = thin_qr(rng.standard_normal((12, 5)))
         assert np.all(np.diag(f.r) >= 0.0)
+
+    def test_more_columns_than_rows_rejected(self):
+        with pytest.raises(DimensionMismatch, match="n >= k"):
+            thin_qr(np.ones((2, 3)))
 
 
 class TestBlockGramSchmidt:

@@ -91,6 +91,25 @@ class TestThetaArnoldi:
             assert la.norm(f - ref, 2) <= 1e-8 * max(1.0, la.norm(ref, 2))
 
 
+class TestProjectorBuiltOnDemand:
+    def test_theta_system(self, sys60, proj60):
+        built = oracle.theta_system(sys60)
+        given = oracle.theta_system(sys60, proj60)
+        for name in ("m", "a", "b", "c"):
+            assert np.array_equal(getattr(built, name), getattr(given, name)), name
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_projected_operator(self, sys60, proj60, adjoint):
+        built = oracle.projected_operator(sys60, adjoint=adjoint)
+        given = oracle.projected_operator(sys60, proj60, adjoint=adjoint)
+        assert np.array_equal(built, given)
+
+    def test_dense_gare_residual(self, sys60, proj60):
+        z = np.random.default_rng(12).standard_normal((sys60.n_v, 2))
+        built = oracle.dense_gare_residual(sys60, Z=z)
+        assert built == oracle.dense_gare_residual(sys60, Z=z, proj=proj60)
+
+
 class TestGareResidual:
     def test_zero_solution_gives_constant_term(self, sys60, proj60):
         m = sys60.M.toarray()

@@ -67,6 +67,12 @@ class TestCareDense:
         with pytest.raises(NoStabilizingSolution):
             care_newton_kleinman([[1.0]], [[0.0]], [[1.0]])
 
+    def test_newton_out_of_iterations_raises(self):
+        # From Y = 0 one step solves only the Lyapunov equation; its Y
+        # leaves the Riccati residual -Y B B^T Y, nonzero here.
+        with pytest.raises(NoStabilizingSolution, match="in 1 iterations"):
+            care_newton_kleinman([[-1.0]], [[1.0]], [[1.0]], max_iter=1)
+
 
 class TestEbaraSolve:
     def test_converges_on_unstable_system(self, sys60u):

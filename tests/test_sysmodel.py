@@ -130,6 +130,28 @@ class TestLoadSystem:
         with pytest.raises(ParseError, match="malformed manifest line"):
             load_bundle(manifest)
 
+    def test_non_square_m_rejected(self, sys60, tmp_path):
+        write_system(sys60, tmp_path)
+        wide = sp.hstack([sys60.M, sp.csc_matrix((sys60.n_v, 1))])
+        sio.mmwrite(os.path.join(tmp_path, "M.mtx"), wide, precision=17)
+        with pytest.raises(ValidationError, match="dimension: M \\(60, 61\\)"):
+            load_system(_paths(tmp_path))
+
+    def test_manifest_with_an_absolute_matrix_path(self, sys60, tmp_path):
+        write_system(sys60, tmp_path / "sys")
+        moved = tmp_path / "elsewhere.mtx"
+        (tmp_path / "sys" / "M.mtx").rename(moved)
+        manifest = tmp_path / "sys" / "system.manifest"
+        manifest.write_text(manifest.read_text().replace("M = M.mtx", f"M = {moved}"))
+        loaded = load_bundle(manifest)
+        assert (loaded.M != sys60.M).nnz == 0
+
+    def test_complex_m_is_a_parse_error(self, sys60, tmp_path):
+        write_system(sys60, tmp_path)
+        sio.mmwrite(os.path.join(tmp_path, "M.mtx"), sys60.M * (1 + 0j), precision=17)
+        with pytest.raises(ParseError, match="complex"):
+            load_system(_paths(tmp_path))
+
 
 def _tiny_system():
     """Four velocities, one pressure, one input and one output; it validates."""
@@ -155,8 +177,11 @@ class TestValidate:
             ("C", np.ones((1, 3)), "dimension: C shape"),
             ("G", sp.csc_matrix(np.eye(4)), "dimension: n_p = 4 must be < n_v = 4"),
             ("M", sp.csc_matrix(np.eye(4) + np.eye(4, k=1)), "symmetry"),
+            ("B", np.ones((4, 0)), "dimension: B shape \\(4, 0\\)"),
+            ("C", np.ones((0, 4)), "dimension: C shape \\(0, 4\\)"),
         ],
-        ids=["A-shape", "G-rows", "B-shape", "C-shape", "n_p", "M-asymmetric"],
+        ids=["A-shape", "G-rows", "B-shape", "C-shape", "n_p", "M-asymmetric",
+             "B-no-columns", "C-no-rows"],
     )
     def test_each_structural_defect_rejected(self, field, value, message):
         bad = replace(_tiny_system(), **{field: value})
@@ -227,6 +252,9 @@ class TestGenerateSynthetic:
             SyntheticSpec(64, 6, seed=0, grid=GridSpec(8, 8, viscosity=np.inf)),
             SyntheticSpec(10, 2, seed=0, unstable=Unstable(1, np.nan)),
             SyntheticSpec(10, 2, seed=0, unstable=Unstable(1, np.inf)),
+            # A 4 x 4 grid has four even-even nodes to anchor pressures on.
+            SyntheticSpec(16, 5, seed=0, grid=GridSpec(4, 4)),
+            SyntheticSpec(10, 2, seed=0, unstable=Unstable(0, 0.5)),
         ],
     )
     def test_infeasible_specs(self, spec):
