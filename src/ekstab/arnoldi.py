@@ -317,10 +317,7 @@ def ekba_step(basis):
     projected operator of the basis built so far stays available.
     """
     if basis.breakdown_at is not None:
-        raise Breakdown(
-            f"process already broke down at step {basis.breakdown_at}",
-            iteration=basis.breakdown_at,
-        )
+        raise Breakdown(f"process already broke down at step {basis.breakdown_at}")
     j = basis.m
     vj = basis.block(j - 1)
     vs = basis.V(j)
@@ -346,9 +343,7 @@ def ekba_step(basis):
     except RankDeficient as exc:
         basis.record(head)
         basis.breakdown_at = j
-        raise Breakdown(
-            f"rank-deficient candidate block at step {j}", iteration=j
-        ) from exc
+        raise Breakdown(f"rank-deficient candidate block at step {j}") from exc
     basis.append(qr.q)
     basis.record(head, qr.q.T @ images)
     return basis

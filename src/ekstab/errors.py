@@ -36,13 +36,10 @@ class InfeasibleSpec(EkstabError):
 class Breakdown(EkstabError):
     """The block Arnoldi process produced a rank-deficient candidate block.
 
-    The basis built before the failing step remains valid; ``iteration``
-    is the step index at which the process stopped.
+    The basis built before the failing step remains valid.  The message
+    names the step at which the process stopped; the sparse process also
+    records it as ``basis.breakdown_at``.
     """
-
-    def __init__(self, message, iteration=None):
-        super().__init__(message)
-        self.iteration = iteration
 
 
 class ModeMismatch(EkstabError):

@@ -4,8 +4,10 @@ Explicit projector, its biorthogonal decomposition, the textbook extended
 block Arnoldi process on the dense projected system, the dense Riccati
 residual, and pencil spectra: the tests' referee, and the dense checks
 of ``generate_synthetic``, ``validate`` and CLI ``stabilize``/``verify``.
-Every entry point is guarded by a configurable size cap
-(``EKSTAB_ORACLE_CAP`` overrides the default of 500).
+Every entry point is guarded by one size cap, read by ``size_cap()``
+only: 500 unless ``EKSTAB_ORACLE_CAP`` overrides it, and a malformed
+value is a ParseError.  Each desk-scale gate outside this module
+compares with ``size_cap()`` too, so the override moves them all.
 """
 
 import os
@@ -17,8 +19,9 @@ import scipy.linalg as la
 from . import kernels
 from .errors import Breakdown, EkstabError, ParseError, SizeCapExceeded
 
-# Desk-scale limit of every dense computation: the oracle default, and the
-# size up to which systems get dense SPD / spectrum validation.
+# Desk-scale limit of every dense computation, read only as ``size_cap()``'s
+# default: up to it the oracle runs and systems get dense SPD, rank and
+# spectrum checks.
 SIZE_CAP_DEFAULT = 500
 SIZE_CAP_ENV = "EKSTAB_ORACLE_CAP"
 
@@ -123,7 +126,7 @@ def theta_arnoldi(tsys, m, adjoint=False):
     first = np.column_stack([la.lu_solve(m_lu, start), la.lu_solve(a_lu, start)])
     q, r = la.qr(first, mode="economic")
     if np.min(np.abs(np.diag(r))) < 1e-12 * la.norm(first, 2):
-        raise Breakdown("rank-deficient starting block", iteration=0)
+        raise Breakdown("rank-deficient starting block at step 0")
     blocks = [q]
     images = []
     for j in range(m):
@@ -138,7 +141,7 @@ def theta_arnoldi(tsys, m, adjoint=False):
                 w -= v @ (v.T @ w)
         q, r = la.qr(w, mode="economic")
         if np.min(np.abs(np.diag(r))) < 1e-12 * scale:
-            raise Breakdown(f"space exhausted at step {j + 1}", iteration=j + 1)
+            raise Breakdown(f"space exhausted at step {j + 1}")
         flip = np.where(np.diag(r) < 0.0, -1.0, 1.0)
         blocks.append(q * flip)
     v_all = np.column_stack(blocks)
@@ -180,15 +183,15 @@ def dense_gare_residual(sys_, X=None, Z=None, proj=None, cap=None):
 def pencil_finite_spectrum(sys_, gain=None, cap=None):
     """Finite eigenvalues of ([[A - B K, G], [G^T, 0]], [[M, 0], [0, 0]]).
 
-    The count must equal n_v - n_p; a mismatch signals a numerically
+    K is ``gain.matrix()`` of a FeedbackGain, or zero without one.  The
+    count must equal n_v - n_p; a mismatch signals a numerically
     degenerate pencil and raises.
     """
     _check_cap(sys_.n_v, cap)
     n_v, n_p = sys_.n_v, sys_.n_p
     a = sys_.A.toarray()
     if gain is not None:
-        k = gain.matrix() if hasattr(gain, "matrix") else np.asarray(gain)
-        a = a - sys_.B @ k
+        a = a - sys_.B @ gain.matrix()
     g = sys_.G.toarray()
     pa = np.block([[a, g], [g.T, np.zeros((n_p, n_p))]])
     pm = np.zeros_like(pa)

@@ -118,8 +118,9 @@ class DescriptorSystem:
         n_p < n_v columns (n_p = 0 is allowed), B n_v x n_b and C
         n_c x n_v with n_b, n_c >= 1.  Then M must be symmetric within
         ``SYM_TOL`` relative in the Frobenius norm, and at desk scale
-        (n_v <= ``oracle.SIZE_CAP_DEFAULT``) positive definite with G of
-        full column rank.  Returns the system.
+        (n_v <= ``oracle.size_cap()``, 500 unless ``EKSTAB_ORACLE_CAP``
+        moves it) positive definite with G of full column rank.  A
+        malformed cap is a ParseError.  Returns the system.
         """
         n_v = self.M.shape[0]
         if self.M.shape != (n_v, n_v) or self.A.shape != (n_v, n_v):
@@ -143,7 +144,7 @@ class DescriptorSystem:
             raise ValidationError(
                 f"symmetry: ||M - M^T|| = {asym:.3e} exceeds {SYM_TOL:.0e} * ||M||"
             )
-        if n_v <= oracle.SIZE_CAP_DEFAULT:
+        if n_v <= oracle.size_cap():
             w = la.eigvalsh(self.M.toarray())
             if w.min() <= 0.0:
                 raise ValidationError(
@@ -361,7 +362,7 @@ def _gradient_pattern(n_v, n_p, grid=None):
     take picks spread evenly over that whole lattice.
     """
     if grid is None:
-        stride = max(1, n_v // n_p)  # stride 1 when pressures are dense in n_v
+        stride = n_v // max(n_p, 1)  # n_p < n_v, so at least 1
         anchors, steps = np.arange(n_p) * stride, np.array([0, 1])
     else:
         nx, ny = grid.nx, grid.ny
@@ -439,7 +440,7 @@ def generate_synthetic(spec):
     Instability, when requested, is planted exactly on ``count``
     constraint-free nodes (see ``_plant_unstable``), so ``count`` is at
     most the number of empty rows of G; the planted spectrum is checked
-    against the dense pencil for n_v <= oracle.SIZE_CAP_DEFAULT.
+    against the dense pencil for n_v <= ``oracle.size_cap()``.
     """
     if spec.n_v <= 0 or spec.n_p < 0 or spec.n_b <= 0 or spec.n_c <= 0:
         raise InfeasibleSpec(f"nonpositive dimensions in {spec}")
@@ -486,13 +487,13 @@ def generate_synthetic(spec):
     if spec.unstable is not None:
         M, A = _plant_unstable(M, A, G, spec.unstable)
     sys_ = DescriptorSystem(M=M, A=A, G=G, B=B, C=C).validate()
-    if spec.unstable is not None and n_v <= oracle.SIZE_CAP_DEFAULT:
+    if spec.unstable is not None and n_v <= oracle.size_cap():
         _verify_unstable(sys_, spec.unstable)
     return sys_
 
 
 def _verify_unstable(sys_, request):
-    fin = oracle.pencil_finite_spectrum(sys_, cap=oracle.SIZE_CAP_DEFAULT)
+    fin = oracle.pencil_finite_spectrum(sys_)
     n_above = int(np.sum(fin.real >= request.shift * (1.0 - 1e-9)))
     if n_above != request.count:
         raise InfeasibleSpec(

@@ -765,6 +765,19 @@ class TestErrorsAndConfig:
         assert err[0].startswith("error: FileExistsError:")
 
     @pytest.mark.parametrize("argv", MANIFEST_COMMANDS, ids=lambda argv: argv[0])
+    def test_malformed_oracle_cap_is_refused_before_any_file_is_written(
+        self, bundle, tmp_path, capsys, monkeypatch, argv
+    ):
+        monkeypatch.setenv("EKSTAB_ORACLE_CAP", "abc")
+        out = tmp_path / "out"
+        rc = main(_with_bundle(argv, bundle) + ["--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ParseError:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", MANIFEST_COMMANDS, ids=lambda argv: argv[0])
     def test_manifest_values_have_their_json_types(self, bundle, tmp_path, argv):
         assert main(_with_bundle(argv, bundle) + ["--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "run_manifest.json").read_text())

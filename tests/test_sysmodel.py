@@ -188,6 +188,14 @@ class TestValidate:
         with pytest.raises(ValidationError, match=message):
             bad.validate()
 
+    def test_raised_oracle_cap_moves_the_dense_checks(self, monkeypatch):
+        s = generate_synthetic(SyntheticSpec(576, 36, seed=5, grid=GridSpec(24, 24)))
+        bad = replace(s, M=(s.M - 2.0 * sp.eye(576)).tocsc())
+        bad.validate()
+        monkeypatch.setenv(oracle.SIZE_CAP_ENV, "1000")
+        with pytest.raises(ValidationError, match="spd"):
+            bad.validate()
+
 
 class TestGenerateSynthetic:
     def test_stable_spectrum(self, sys60):
@@ -289,6 +297,7 @@ class TestStencilGenerator:
             SyntheticSpec(64, 6, seed=1, grid=GridSpec(8, 8, viscosity=0.5)),
             SyntheticSpec(60, 6, seed=2, grid=GridSpec(6, 10), unstable=Unstable(2, 0.3)),
             SyntheticSpec(60, 6, seed=2, grid=GridSpec(10, 6)),
+            SyntheticSpec(40, 0, seed=3, unstable=Unstable(2, 0.5)),
         ],
     )
     def test_couplings_stay_in_stencil(self, spec):
