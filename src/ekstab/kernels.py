@@ -16,6 +16,18 @@ rows off the diagonal and the ordering is lost (on a 120^2 grid at s = 1e3j, L +
 entries unscaled against 0.76 M scaled); scaled, the fill is the same
 for every kind and shift.
 
+The ordering sees a tied pattern: each pressure's row and column also
+hold explicit zeros in the pattern of its anchor velocity's row of
+|W| + |W|^T, the anchor being the row of its largest |G| entry.  Plain
+minimum degree takes each zero-diagonal pressure for a low-degree node
+and eliminates it early; tied, it eliminates the pressure together with
+its anchor, the compressed-graph idea for 2 x 2 pivots of Duff & Pralet
+(SIMAX 27, 2005).  The values factored do not change.  In SuperLU's
+nnz(L+U) over nnz(K), the fill falls 13-19% on the benchmark's 60^2 to
+300^2 grids (10.1x to 8.4x at 120^2) and 5x on a MAC Stokes stiffness
+block (187x to 38x on 32 x 32 cells), but rises on the package's
+synthetic family at 120^2 and 200^2 (9.6x to 11.4x at 200^2).
+
 Factorizations and matrices are immutable after construction; solves
 against a shared factorization may run concurrently.
 """
@@ -70,7 +82,7 @@ class SaddleFactorization:
     n_p: int
     shift: complex | None = None
     scale: float = 1.0
-    ordering: str = SPLU_OPTIONS["permc_spec"]
+    ordering: str = SPLU_OPTIONS["permc_spec"] + " on the tied pattern"
     dtype: np.dtype = np.dtype(float)
     _lu: object = field(default=None, repr=False, compare=False)
 
@@ -84,8 +96,10 @@ def factor_saddle(W, G, kind="custom", shift=None):
 
     The matrix factored is D K D with D = diag(I, scale I) and
     scale = max|W| / max|G| (1 when either block is zero), under the
-    fixed ``SPLU_OPTIONS``.  The pressure right-hand side of every solve
-    is zero and the multiplier is discarded, so solves return the same
+    fixed ``SPLU_OPTIONS``, with each pressure tied to its anchor
+    velocity by explicit zeros (``_tied``) so that minimum degree
+    eliminates the two together.  The pressure right-hand side of every
+    solve is zero and the multiplier is discarded, so solves return the same
     velocity rows as with K, forward and transposed; the scaling keeps
     the pressure pivots of the same size as those of W, so the
     symmetric-mode ordering survives pivoting for every kind and shift
@@ -128,7 +142,8 @@ def factor_saddle(W, G, kind="custom", shift=None):
     w_max = np.abs(W.data).max() if W.nnz else 0.0
     g_max = np.abs(G.data).max() if G.nnz else 0.0
     scale = float(w_max / g_max) if w_max and g_max else 1.0
-    K = sp.bmat([[W, scale * G], [scale * G.T, None]], format="csc")
+    C = _tied(W, scale * G)
+    K = sp.bmat([[W, C], [C.T, None]], format="csc")
     try:
         lu = splu(K, **SPLU_OPTIONS)
     except RuntimeError as exc:
@@ -144,6 +159,32 @@ def factor_saddle(W, G, kind="custom", shift=None):
     return SaddleFactorization(
         kind=kind, n_v=n_v, n_p=n_p, shift=shift, scale=scale, dtype=x.dtype, _lu=lu
     )
+
+
+def _tied(W, G):
+    """The constraint block G in COO, plus explicit zeros that tie each pressure.
+
+    The anchor v(j) of pressure j is the first row of G's column j with the
+    largest |entry|; column j of the block, and so pressure row and column
+    j of the saddle, gets the pattern of row v(j) of |W| + |W|^T, so
+    minimum degree sees p_j and v(j) as near indistinguishable and
+    eliminates them together.  An empty column of G gets no tie.  W and G
+    are CSC.
+    """
+    col = np.repeat(np.arange(G.shape[1]), np.diff(G.indptr))
+    size = np.abs(G.data)
+    order = np.lexsort((G.indices, -size, col))
+    order = order[size[order] > 0]
+    tied, first = np.unique(col[order], return_index=True)
+    anchors = G.indices[order[first]]
+    # Row v of |W| + |W|^T is the pattern of column v and row v of W.
+    links = (W[:, anchors], W.tocsr()[anchors])
+    vel = np.concatenate([link.indices for link in links])
+    at = np.concatenate([np.repeat(tied, np.diff(link.indptr)) for link in links])
+    G = G.tocoo()
+    data = np.r_[G.data, np.zeros(vel.size, G.dtype)]
+    rows, cols = np.r_[G.row, vel], np.r_[G.col, at]
+    return sp.coo_matrix((data, (rows, cols)), shape=G.shape)
 
 
 def solve_saddle(fact, rhs, adjoint=False):

@@ -5,9 +5,10 @@ block Arnoldi process on the dense projected system, the dense Riccati
 residual, and pencil spectra: the tests' referee, and the dense checks
 of ``generate_synthetic``, ``validate`` and CLI ``stabilize``/``verify``.
 Every entry point is guarded by one size cap, read by ``size_cap()``
-only: 500 unless ``EKSTAB_ORACLE_CAP`` overrides it, and a malformed
-value is a ParseError.  Each desk-scale gate outside this module
-compares with ``size_cap()`` too, so the override moves them all.
+only: 500 unless ``EKSTAB_ORACLE_CAP`` overrides it, and a value that is
+not an integer of at least 1 is a ParseError.  Each desk-scale gate
+outside this module compares with ``size_cap()`` too, so the override
+moves them all.
 """
 
 import os
@@ -31,9 +32,12 @@ def size_cap():
     if not value:
         return SIZE_CAP_DEFAULT
     try:
-        return int(value)
+        cap = int(value)
     except ValueError as exc:
         raise ParseError(f"{SIZE_CAP_ENV}={value!r} is not an integer") from exc
+    if cap < 1:
+        raise ParseError(f"{SIZE_CAP_ENV}={value!r} is below 1")
+    return cap
 
 
 def _check_cap(n_v, cap):

@@ -643,6 +643,7 @@ class TestErrorsAndConfig:
             (["verify"], "abc", "ParseError"),
             (["simulate", "--h", "1e-300", "--horizon", "1"], None, "DimensionMismatch"),
             (["simulate", "--input", "ramp:1"], None, "ParseError"),
+            (["verify"], "-1", "ParseError"),
         ],
     )
     def test_bad_input_is_single_line_error(
@@ -775,6 +776,20 @@ class TestErrorsAndConfig:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ParseError:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", MANIFEST_COMMANDS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_oracle_cap_below_one_is_refused_before_any_file_is_written(
+        self, bundle, tmp_path, capsys, monkeypatch, cap, argv
+    ):
+        # A cap below 1 would switch every desk-scale check off.
+        monkeypatch.setenv("EKSTAB_ORACLE_CAP", cap)
+        out = tmp_path / "out"
+        rc = main(_with_bundle(argv, bundle) + ["--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: ParseError: EKSTAB_ORACLE_CAP='{cap}' is below 1"]
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", MANIFEST_COMMANDS, ids=lambda argv: argv[0])

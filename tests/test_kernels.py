@@ -223,6 +223,59 @@ class TestScaledSaddle:
         assert max(nnz) <= 1.1 * min(nnz)
 
 
+def _mac_stokes(N):
+    """Stokes on N x N MAC cells of the unit square: velocities on the
+    interior faces, a 5-point Dirichlet Laplacian per component, and
+    G = -D^T without the last pressure."""
+    h = 1.0 / N
+    lap = lambda n: sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / h**2
+    diff = sp.diags([1.0, -1.0], [0, -1], shape=(N, N - 1)) / h  # cell from its faces
+    I, J = sp.eye(N), sp.eye(N - 1)
+    A = sp.block_diag(
+        [sp.kron(lap(N - 1), I) + sp.kron(J, lap(N)),
+         sp.kron(lap(N), J) + sp.kron(I, lap(N - 1))]
+    ).tocsc()
+    D = sp.hstack([sp.kron(diff, I), sp.kron(I, diff)])
+    return A, (-D.T).tocsc()[:, :-1]
+
+
+class TestTiedSaddle:
+    def test_mac_stiffness_saddle_fills_at_most_25_times(self):
+        # SuperLU's count of its stored factors; minimum degree on the
+        # untied pattern eliminates the zero-diagonal pressures early and
+        # fills 44x here, the tied pattern 22x.
+        A, G = _mac_stokes(16)
+        assert A.shape == (480, 480) and G.shape == (480, 255)
+        f = factor_saddle(A, G, kind="stiffness")
+        assert f._lu.nnz <= 25 * (A.nnz + 2 * G.nnz)
+
+    @pytest.mark.parametrize("shift", [None, 3.0 + 2.0j])
+    def test_tie_changes_no_value(self, shift):
+        rng = np.random.default_rng(5)
+        s = generate_synthetic(SyntheticSpec(144, 9, seed=2, grid=GridSpec(12, 12)))
+        W = s.A if shift is None else (shift * s.M - s.A).tocsc()
+        n_v, n_p = s.G.shape
+        f = factor_saddle(W, s.G)
+        lu = f._lu
+        G = f.scale * s.G
+        K = sp.bmat([[W, G], [G.T, None]]).toarray()
+        recon = (lu.L @ lu.U).toarray()
+        pr, pc = np.argsort(lu.perm_r), np.argsort(lu.perm_c)
+        assert la.norm(recon - K[pr][:, pc], "fro") <= 1e-12 * la.norm(K, "fro")
+        rhs = rng.standard_normal((n_v, 3))
+        full = np.vstack([rhs, np.zeros((n_p, 3))])
+        for adjoint in (False, True):
+            ref = la.solve(K.T if adjoint else K, full)[:n_v]
+            x = solve_saddle(f, rhs, adjoint=adjoint)
+            assert la.norm(x - ref) <= 1e-12 * la.norm(ref)
+        G = s.G.tolil()
+        G[:, 4] = 0.0
+        G = G.tocsc()
+        assert G.nnz == s.G.nnz - s.G[:, 4].nnz and G[:, 4].nnz == 0
+        with pytest.raises(SingularSaddle):
+            factor_saddle(W, G)
+
+
 @st.composite
 def _saddle_cases(draw):
     """Nonsymmetric sparse W with a dominant Hermitian part, a sparse
