@@ -6,8 +6,9 @@ state-space form driven by the projected-operator Hessenberg matrix
 generalized form from congruence projections of M and A.  An exact
 transfer function at one shift takes one complex sparse saddle
 factorization (``eval_full_tf``); a frequency sweep takes one per group
-of shifts within half a decade, and serves the group's other shifts by a
-shifted block Krylov process on the solves with that factorization.  The
+of shifts within a decade, and serves the group's other shifts by a
+shifted block Krylov process on the solves with that factorization,
+whose projected systems are solved in one batch per block step.  The
 dense projector is never formed.
 """
 
@@ -203,17 +204,17 @@ def _process_cpus():
 
 
 def _sweep_groups(omegas):
-    """Consecutive index ranges of the grid, each within half a decade.
+    """Consecutive index ranges of the grid, each within one decade.
 
-    Point i joins group floor(2 log10(omega_i / omega_0)), except that the
-    last point closes the last full half-decade instead of opening one of
-    its own: the default 200-point grid over ten decades gives 20 groups
-    of 10.  The rule reads the grid only.
+    Point i joins group floor(log10(omega_i / omega_0)), except that the
+    last point closes the last full decade instead of opening one of its
+    own: the default 200-point grid over ten decades gives 10 groups of
+    20.  The rule reads the grid only.
     """
-    half_decades = 2.0 * np.log10(omegas / omegas[0])
-    # A last point past a half-decade boundary by rounding only opens no group.
-    last = max(int(np.ceil(half_decades[-1] - 1e-9)) - 1, 0)
-    label = np.minimum(np.floor(half_decades), last)
+    decades = np.log10(omegas / omegas[0])
+    # A last point past a decade boundary by rounding only opens no group.
+    last = max(int(np.ceil(decades[-1] - 1e-9)) - 1, 0)
+    label = np.minimum(np.floor(decades), last)
     bounds = [0, *(np.flatnonzero(np.diff(label)) + 1), len(omegas)]
     return [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
@@ -237,8 +238,11 @@ def _shifted_krylov(solve, sys_, x0, sigma, shifts):
     S M V_k = V_k H_k + Q_k R_k E_k^T (Q_k R_k the QR of the k-th step's
     orthogonalized block), so the Galerkin solution V_k y of
     (I - (sigma - s) H_k) y = E_1 R_0 leaves the residual
-    (sigma - s) Q_k R_k y_last, known without forming V_k y.  A shift is
-    accepted once that residual is at most ``SWEEP_TOL`` ||R_0||, with
+    (sigma - s) Q_k R_k y_last, known without forming V_k y.  Each block
+    step solves the projected systems of all open shifts in one batched
+    call; a shift whose projected matrix is exactly singular (a zero
+    determinant) drops out of that step's batch and stays open.  A shift
+    is accepted once its residual is at most ``SWEEP_TOL`` ||R_0||, with
     C x(s) = (C V_k) y, unless its projected matrix has a reciprocal
     condition below ``SWEEP_RCOND``; a shift still open after
     ``SWEEP_BLOCKS`` steps, or after the null(G^T) the basis lives in is
@@ -266,14 +270,19 @@ def _shifted_krylov(solve, sys_, x0, sigma, shifts):
         hess[cols : cols + nb, cols - nb : cols] = r
         rhs = np.zeros((cols, nb), dtype=complex)
         rhs[:nb] = r0
-        for i, s in list(open_.items()):
-            lhs = np.eye(cols) - (sigma - s) * hess[:cols, :cols]
-            y, rcond = _projected_solve(lhs, rhs)
-            if y is None or not abs(sigma - s) * la.norm(r @ y[-nb:]) <= tol:
-                continue
-            del open_[i]
-            if rcond >= SWEEP_RCOND:
-                done[i] = cv[:, :cols] @ y
+        gap = sigma - np.array(list(open_.values()))
+        lhs = np.eye(cols) - gap[:, None, None] * hess[:cols, :cols]
+        regular = np.linalg.slogdet(lhs)[0] != 0
+        keys = [i for i, ok in zip(open_, regular) if ok]
+        if not keys:
+            continue
+        gap, lhs = gap[regular], lhs[regular]
+        y = np.linalg.solve(lhs, rhs)
+        residual = np.abs(gap) * np.linalg.norm(r @ y[:, -nb:], axis=(1, 2))
+        for j in np.flatnonzero(residual <= tol):
+            del open_[keys[j]]
+            if _projected_solve(lhs[j], rhs)[1] >= SWEEP_RCOND:
+                done[keys[j]] = cv[:, :cols] @ y[j]
     return done
 
 
@@ -327,11 +336,12 @@ def frequency_sweep(system, model, w_lo=1e-5, w_hi=1e5, n_points=200):
     ``skipped``, and the sweep continues.  ``hinf_sample`` is the grid
     maximum of the error, a lower bound on the true Hinf error norm.
 
-    The grid is cut into groups of consecutive points within half a
-    decade (``_sweep_groups``).  Each group costs one complex shifted
-    factorization, at its middle point sigma: a shifted block Krylov
-    process on the solves at sigma gives the full responses at the other
-    points (``_shifted_krylov``), each accepted once its residual is
+    The grid is cut into groups of consecutive points within one decade
+    (``_sweep_groups``; 10 groups of 20 on the default grid).  Each group
+    costs one complex shifted factorization, at its middle point sigma: a
+    shifted block Krylov process on the solves at sigma gives the full
+    responses at the other points (``_shifted_krylov``, one batched
+    projected solve per block step), each accepted once its residual is
     below 1e-13 of the start block's, and within about 1e-13 relative of
     the per-shift ``eval_full_tf``.  A point not accepted within
     ``SWEEP_BLOCKS`` block steps, whose projected matrix is numerically
@@ -346,7 +356,8 @@ def frequency_sweep(system, model, w_lo=1e-5, w_hi=1e5, n_points=200):
     computed alone and collected in grid order, so the result does not
     depend on the number of workers, bit for bit.
     """
-    if not isinstance(n_points, numbers.Integral) or n_points < 1:
+    integral = isinstance(n_points, numbers.Integral) and not isinstance(n_points, bool)
+    if not integral or n_points < 1:
         raise DimensionMismatch(f"n_points must be a positive integer, got {n_points!r}")
     if not w_lo > 0:
         raise DimensionMismatch(f"w_lo must be positive, got {w_lo}")

@@ -7,7 +7,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from ekstab import kernels, oracle, reduction
-from ekstab.arnoldi import ADJOINT, FORWARD, ekba_basis
+from ekstab.arnoldi import ADJOINT, FORWARD, as_pair, ekba_basis
 from ekstab.closedloop import ClosedLoopSystem, reduce_closed_loop
 from ekstab.errors import DimensionMismatch, ModeMismatch, SingularShift
 from ekstab.reduction import (
@@ -53,6 +53,37 @@ def _serial_responses(system, model, omegas):
     full = [eval_full_tf(system, 1j * w) for w in omegas]
     reduced = [eval_reduced_tf(model, 1j * w) for w in omegas]
     return np.array(full), np.array(reduced)
+
+
+def _per_shift_krylov(solve, sys_, x0, sigma, shifts):
+    """``reduction._shifted_krylov`` with one projected solve per open shift per step."""
+    n_v, nb = x0.shape
+    blocks = min(reduction.SWEEP_BLOCKS, (n_v - sys_.n_p) // nb)
+    basis = np.empty((n_v, blocks * nb), dtype=complex, order="F")
+    hess = np.zeros(((blocks + 1) * nb, blocks * nb), dtype=complex)
+    cv = np.empty((sys_.n_c, blocks * nb), dtype=complex)
+    q, r0 = np.linalg.qr(x0)
+    tol = reduction.SWEEP_TOL * la.norm(r0)
+    open_, done = dict(shifts), {}
+    for k in range(1, blocks + 1):
+        cols = k * nb
+        basis[:, cols - nb : cols] = q
+        cv[:, cols - nb : cols] = sys_.C @ q
+        w = solve(sys_.M @ q)
+        hess[:cols, cols - nb : cols], w = kernels.block_gram_schmidt(w, basis[:, :cols])
+        q, r = np.linalg.qr(w)
+        hess[cols : cols + nb, cols - nb : cols] = r
+        rhs = np.zeros((cols, nb), dtype=complex)
+        rhs[:nb] = r0
+        for i, s in list(open_.items()):
+            lhs = np.eye(cols) - (sigma - s) * hess[:cols, :cols]
+            y, rcond = reduction._projected_solve(lhs, rhs)
+            if y is None or not abs(sigma - s) * la.norm(r @ y[-nb:]) <= tol:
+                continue
+            del open_[i]
+            if rcond >= reduction.SWEEP_RCOND:
+                done[i] = cv[:, :cols] @ y
+    return done
 
 
 def _assert_same_sweep(a, b):
@@ -327,6 +358,12 @@ class TestFrequencySweep:
         assert sweep.fallbacks == 0
         assert sweep.factorizations == kinds.count("shifted") <= 20
 
+    def test_default_grid_takes_one_factorization_per_decade(self, swept, kinds):
+        system, model = swept
+        sweep = frequency_sweep(system, model)
+        assert sweep.factorizations == kinds.count("shifted") == 10
+        assert sweep.fallbacks == 0
+
     def test_closed_loop_anchor_reuses_the_corrector_solve_of_b(
         self, sys60, monkeypatch
     ):
@@ -364,7 +401,7 @@ class TestFrequencySweep:
             ref = oracle.theta_transfer(tsys, 1j * w)
             assert la.norm(f - ref, 2) <= 1e-10 * la.norm(ref, 2)
 
-    @pytest.mark.parametrize("n_points", [0, -1, 2.5])
+    @pytest.mark.parametrize("n_points", [0, -1, 2.5, True])
     def test_bad_point_count_rejected_before_factoring(self, sys60, n_points, kinds):
         model = build_reduced(ekba_basis(sys60, 2, FORWARD), STATE_SPACE)
         made = len(kinds)
@@ -421,3 +458,60 @@ class TestFrequencySweep:
         assert len(lines) == 11
         first = [float(v) for v in lines[1].split(",")]
         assert abs(first[0] - 1e-5) <= 1e-18
+
+
+class TestSweepGroups:
+    def test_default_grid_is_ten_groups_of_twenty(self):
+        groups = reduction._sweep_groups(np.logspace(-5, 5, 200))
+        assert groups == [range(20 * g, 20 * g + 20) for g in range(10)]
+
+    def test_last_point_past_a_decade_by_rounding_opens_no_group(self):
+        omegas = np.array([1.0, 3.0, 10.0 * (1.0 + 1e-15)])
+        assert np.log10(omegas[-1] / omegas[0]) > 1.0
+        assert reduction._sweep_groups(omegas) == [range(3)]
+        # Past it by more than rounding, the last point is a group of its own.
+        omegas[-1] = 10.0**1.01
+        assert reduction._sweep_groups(omegas) == [range(2), range(2, 3)]
+
+    @pytest.mark.parametrize(
+        "omegas",
+        [np.logspace(0, 0.9, 7), np.logspace(-3, -2, 11), np.array([2.0])],
+        ids=["inside", "one_decade", "one_point"],
+    )
+    def test_a_grid_within_one_decade_is_one_group(self, omegas):
+        assert reduction._sweep_groups(omegas) == [range(len(omegas))]
+
+
+class TestShiftedKrylov:
+    def test_batch_serves_what_a_per_shift_loop_serves(self, swept):
+        system, _ = swept
+        pair = as_pair(system)
+        omegas = np.logspace(-5, 5, 200)
+        for group in reduction._sweep_groups(omegas):
+            anchor = group[len(group) // 2]
+            sigma = 1j * omegas[anchor]
+            shifts = {i: 1j * omegas[i] for i in group if i != anchor}
+            solve, x0 = reduction._anchor(pair, sigma)
+            done = reduction._shifted_krylov(solve, pair.sys, x0, sigma, shifts)
+            ref = _per_shift_krylov(solve, pair.sys, x0, sigma, shifts)
+            assert sorted(done) == sorted(ref)
+            for i, f in done.items():
+                assert la.norm(f - ref[i], 2) <= 1e-13 * la.norm(ref[i], 2)
+
+    def test_exactly_singular_projected_matrix_leaves_only_its_shift_open(self):
+        # At sigma = 0 the oscillator's saddle solve is S = A, and the Krylov
+        # process runs on integers: after two steps the projected matrix at
+        # s = i is I + i H_2 with H_2 a signed permutation similar to A,
+        # singular with an exactly zero pivot, as I + i A is.
+        osc = _oscillator()
+        pair = as_pair(osc)
+        lhs = np.eye(2) + 1j * osc.A.toarray()
+        assert reduction._projected_solve(lhs, np.ones((2, 1), dtype=complex)) == (None, 0.0)
+        shifts = {0: 0.5j, 1: 1j, 2: 2j}
+        solve, x0 = reduction._anchor(pair, 0j)
+        done = reduction._shifted_krylov(solve, osc, x0, 0j, shifts)
+        assert sorted(done) == [0, 2]
+        assert sorted(_per_shift_krylov(solve, osc, x0, 0j, shifts)) == [0, 2]
+        for i in done:
+            ref = eval_full_tf(osc, shifts[i])
+            assert la.norm(done[i] - ref, 2) <= 1e-14 * la.norm(ref, 2)
