@@ -51,8 +51,11 @@ class OperatorPair:
 
     Forward mode operates with (A, B), adjoint mode with (A^T, C^T).  The
     factorizations come from the system's shared saddle cache on first
-    use; adjoint mode solves with the transposed forward stiffness
-    factors.  ``k_matrix`` is None: only a closed loop carries a gain.
+    use: ``fact_mass`` and ``fact_identity`` hold the factors behind
+    ``solve_mass`` and ``reproject``, and the cached ``solve_stiff``
+    closure holds the stiffness factors; adjoint mode solves with the
+    transposed forward stiffness factors.  ``k_matrix`` is None: only a
+    closed loop carries a gain.
     """
 
     k_matrix = None
@@ -65,10 +68,6 @@ class OperatorPair:
     @cached_property
     def fact_mass(self):
         return self.sys.saddle("mass")
-
-    @cached_property
-    def fact_stiff(self):
-        return self.sys.saddle("stiffness")
 
     def solver(self, kind, shift=None, with_start=False):
         """Solve function for the saddle block whose leading block holds A.

@@ -259,7 +259,7 @@ def _cmd_stabilize(args, sys_):
 def _cmd_simulate(args, sys_):
     target = sys_
     if args.gain:
-        k = _read_matrix(args.gain, "K", dense=True)
+        k = _read_matrix(args.gain, dense=True)
         target = ClosedLoopSystem(sys_, FeedbackGain(left=np.eye(k.shape[0]), right=k))
     u = _parse_input_spec(args.input, sys_.n_b)
     traj = simulate_dae(target, u, h=args.h, t_end=args.horizon)

@@ -35,10 +35,11 @@ from .sysmodel import write_csv
 class ClosedLoopSystem(OperatorPair):
     """Descriptor system with a low-rank LQR feedback A -> A - B K.
 
-    The forward pair carrying ``gain``, whose n_b x n_v array is
-    ``k_matrix`` itself.  Its saddle solves are those of A - B K, each SMW
-    corrector built on first use, but its products are the open-loop
-    ones, so ``ekba_init`` refuses it and ``reduce_closed_loop`` reduces it.
+    The forward pair holding the gain only as its n_b x n_v array,
+    ``k_matrix`` (``gain.matrix()``).  Its saddle solves are those of
+    A - B K, each SMW corrector built on first use, but its products are
+    the open-loop ones, so ``ekba_init`` refuses it and
+    ``reduce_closed_loop`` reduces it.
     """
 
     def __init__(self, sys_, gain):
@@ -47,7 +48,6 @@ class ClosedLoopSystem(OperatorPair):
                 f"gain is {gain.n_b} x {gain.n_v}, system needs {sys_.n_b} x {sys_.n_v}"
             )
         super().__init__(sys_)
-        self.gain = gain
         self.k_matrix = gain.matrix()
 
     def euler_corrector(self, h):
@@ -174,7 +174,9 @@ def _implicit_euler(stepping, mass, n_b, c, u, h, t_end, v, blowup, keep_states=
     (checking the input's width), so a bad step or input factors nothing.
     ``h`` and ``t_end`` must be finite and positive and make at least one
     step, and no more than an array can hold.  A state whose norm is not
-    at most ``blowup``, NaN and inf included, raises SimulationDiverged.
+    at most ``blowup``, NaN and inf included, raises SimulationDiverged;
+    the steps run without overflow warnings, so that error is the only
+    report of an overflowing step.
     """
     if not (0 < h < np.inf and 0 < t_end < np.inf):
         raise DimensionMismatch(f"need finite h > 0 and t_end > 0, got {h}, {t_end}")
@@ -190,15 +192,17 @@ def _implicit_euler(stepping, mass, n_b, c, u, h, t_end, v, blowup, keep_states=
         raise DimensionMismatch(f"h = {h} makes no step up to t_end = {t_end}")
     _sample_input(u, times, inputs)
     solve, hsb, gain = stepping(h)
-    for k, t in enumerate(times):
-        if k:
-            y = solve(mass @ v)
-            v = y + hsb @ (inputs[k] if gain is None else inputs[k] - gain @ y)
-            if not np.linalg.norm(v) <= blowup:
-                raise SimulationDiverged(f"state blew up at t = {t:.6g}")
-        outputs[k] = c @ v
-        if keep_states:
-            states[k] = v
+    # An overflowing step is the blow-up check's one error, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, t in enumerate(times):
+            if k:
+                y = solve(mass @ v)
+                v = y + hsb @ (inputs[k] if gain is None else inputs[k] - gain @ y)
+                if not np.linalg.norm(v) <= blowup:
+                    raise SimulationDiverged(f"state blew up at t = {t:.6g}")
+            outputs[k] = c @ v
+            if keep_states:
+                states[k] = v
     return Trajectory(times=times, outputs=outputs, inputs=inputs, states=states)
 
 

@@ -69,20 +69,19 @@ class SaddleFactorization:
     """Sparse LU factors of the block matrix [[W, G], [G^T, 0]].
 
     ``kind`` labels which leading block was factored ("mass", "stiffness",
-    "shifted", "euler", "identity"); ``shift`` carries the scalar for
-    shifted blocks.  The factors are those of
-    [[W, scale G], [scale G^T, 0]], ordered by ``ordering``; the velocity
-    rows of a solve do not depend on ``scale``; with n_p = 0 the matrix
-    factored is W alone.  ``dtype`` is the factors' dtype, read without
-    building SuperLU's copies of L and U.
+    "shifted", "euler", "identity"); the shift of a shifted block is held
+    by the key of the system's factor cache, and the ordering is the one
+    of ``SPLU_OPTIONS`` on the tied pattern.  The factors are those of
+    [[W, scale G], [scale G^T, 0]]; the velocity rows of a solve do not
+    depend on ``scale``; with n_p = 0 the matrix factored is W alone.
+    ``dtype`` is the factors' dtype, read without building SuperLU's
+    copies of L and U.
     """
 
     kind: str
     n_v: int
     n_p: int
-    shift: complex | None = None
     scale: float = 1.0
-    ordering: str = SPLU_OPTIONS["permc_spec"] + " on the tied pattern"
     dtype: np.dtype = np.dtype(float)
     _lu: object = field(default=None, repr=False, compare=False)
 
@@ -91,7 +90,7 @@ class SaddleFactorization:
         return np.issubdtype(self.dtype, np.complexfloating)
 
 
-def factor_saddle(W, G, kind="custom", shift=None):
+def factor_saddle(W, G, kind="custom"):
     """Factor the saddle-point matrix [[W, G], [G^T, 0]] once for reuse.
 
     The matrix factored is D K D with D = diag(I, scale I) and
@@ -113,8 +112,8 @@ def factor_saddle(W, G, kind="custom", shift=None):
         combination of the two.
     G : sparse or dense n_v x n_p matrix
         Constraint block, full column rank.
-    kind, shift
-        Metadata stored on the factorization.
+    kind : str
+        Label stored on the factorization and named in its errors.
 
     Returns
     -------
@@ -157,7 +156,7 @@ def factor_saddle(W, G, kind="custom", shift=None):
             f"(forward error {err:.2e} of a check solve)"
         )
     return SaddleFactorization(
-        kind=kind, n_v=n_v, n_p=n_p, shift=shift, scale=scale, dtype=x.dtype, _lu=lu
+        kind=kind, n_v=n_v, n_p=n_p, scale=scale, dtype=x.dtype, _lu=lu
     )
 
 
@@ -219,8 +218,9 @@ def solve_saddle(fact, rhs, adjoint=False):
 class SmwCorrector:
     """Solves [[W - c B K, G], [G^T, 0]] through the factorization of W's block.
 
-    Caches the block solve of B and the n_b x n_b capture matrix
-    I - c K W_blk^-1 B; each corrected solve then costs one base solve
+    Caches the block solve of B and the LU factors of the n_b x n_b
+    capture matrix I - c K W_blk^-1 B, checked for singularity when the
+    corrector is made; each corrected solve then costs one base solve
     plus a small dense solve, and the dense product B K is never formed.
     The corrected solve of B itself (``solve_b``) costs no base solve.
     """
@@ -230,17 +230,16 @@ class SmwCorrector:
         self.K = K
         self.c = c
         self.ainv_b = solve_saddle(fact, B)
-        n_b = B.shape[1]
-        self.capture = np.eye(n_b) - c * (K @ self.ainv_b)
+        capture = np.eye(B.shape[1]) - c * (K @ self.ainv_b)
         # The capture matrix is a perturbation of the identity, so absolute
         # near-singularity matters as much as the condition number.
-        sv = la.svdvals(self.capture)
+        sv = la.svdvals(capture)
         if sv[-1] <= 1e-12 * max(1.0, sv[0]) or sv[0] > CAPTURE_COND_CAP * sv[-1]:
             raise SingularCapture(
                 f"capture matrix is numerically singular "
                 f"(singular values {sv[0]:.2e} .. {sv[-1]:.2e})"
             )
-        self.capture_lu = la.lu_factor(self.capture)
+        self.capture_lu = la.lu_factor(capture)
 
     def solve(self, rhs):
         return self._corrected(solve_saddle(self.fact, rhs))

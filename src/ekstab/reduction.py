@@ -48,12 +48,11 @@ SWEEP_RCOND = 1e-12
 class ReducedModel:
     """Reduced LTI model in state-space or generalized form.
 
-    State-space: v' = a v + b u, y = c v  (mass is None).
-    Generalized: m v' = a v + b u, y = c v  with m symmetric positive
-    definite inherited from the full mass matrix.
+    ``mass`` tells the form.  State-space: v' = a v + b u, y = c v
+    (mass is None).  Generalized: m v' = a v + b u, y = c v with m
+    symmetric positive definite inherited from the full mass matrix.
     """
 
-    form: str
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
@@ -96,14 +95,12 @@ def build_reduced(basis, form=STATE_SPACE, order=None):
     c = sys_.C @ V
     if form == STATE_SPACE:
         return ReducedModel(
-            form=form,
             a=basis.Tm(order),
             b=projected_input(basis, order),
             c=c,
         )
     if form == GENERALIZED:
         return ReducedModel(
-            form=form,
             a=V.T @ basis.ops.apply(V),
             b=V.T @ basis.ops.start,
             c=c,

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .arnoldi import ADJOINT, ekba_init, ekba_step, projected_input
-from .errors import Breakdown, DimensionMismatch, NoStabilizingSolution
+from .errors import Breakdown, DimensionMismatch, NoStabilizingSolution, ValidationError
 from .kernels import dense_svd
 from .sysmodel import write_csv
 
@@ -159,9 +159,15 @@ def truncate_lowrank(y, basis, dtol, order=None):
 
 
 class FeedbackGain:
-    """LQR gain K = (B^T Z)(Z^T M), kept only as its n_b x n_v array and Z's rank."""
+    """LQR gain K = (B^T Z)(Z^T M), kept only as its n_b x n_v array and Z's rank.
+
+    A NaN or Inf entry in either factor is a ValidationError
+    (``finite: K ...``), raised before K is formed.
+    """
 
     def __init__(self, left, right):
+        if not (np.isfinite(left).all() and np.isfinite(right).all()):
+            raise ValidationError("finite: K has a NaN or Inf entry")
         self._k = left @ right
         self.rank = left.shape[1]
         self.n_b, self.n_v = self._k.shape

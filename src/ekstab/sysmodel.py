@@ -50,7 +50,12 @@ _SADDLE_KINDS = {
 
 @dataclass(frozen=True, eq=False)
 class DescriptorSystem:
-    """Index-2 descriptor system M v' = A v + G p + B u,  G^T v = 0,  y = C v."""
+    """Index-2 descriptor system M v' = A v + G p + B u,  G^T v = 0,  y = C v.
+
+    Making one refuses a NaN or Inf entry in M, A, G, B or C as a
+    ValidationError (``finite: <key> ...``), however it is made; the
+    other invariants are checked by ``validate``.
+    """
 
     M: sp.csc_matrix
     A: sp.csc_matrix
@@ -63,6 +68,12 @@ class DescriptorSystem:
         repr=False,
         compare=False,
     )
+
+    def __post_init__(self):
+        for key in _MATRIX_KEYS:
+            mat = getattr(self, key)
+            if not np.isfinite(mat.data if sp.issparse(mat) else mat).all():
+                raise ValidationError(f"finite: {key} has a NaN or Inf entry")
 
     def saddle(self, kind, shift=None):
         """Sparse LU factors of the saddle block [[W, G], [G^T, 0]].
@@ -87,7 +98,7 @@ class DescriptorSystem:
         fact = self._factors.get(key)
         if fact is None:
             W = row.block(self, shift)
-            fact = kernels.factor_saddle(W, self.G, kind=kind, shift=shift)
+            fact = kernels.factor_saddle(W, self.G, kind=kind)
             self._factors[key] = fact
         return fact
 
@@ -160,13 +171,14 @@ class DescriptorSystem:
         return self
 
 
-def _read_matrix(path, key, dense=False):
-    """Matrix ``key`` of an array- or coordinate-format Matrix Market file.
+def _read_matrix(path, dense=False):
+    """The matrix of an array- or coordinate-format Matrix Market file.
 
     CSC, or a 2-D float array if ``dense``.  The header is read first: a
     complex field, or an array-format file with no entries, is a
     ParseError before the body is read (real, integer and pattern fields
-    load).  NaN or Inf entries are rejected.
+    load).  The entries are only read: a NaN or Inf one is refused by
+    the object made from them (``DescriptorSystem``, ``FeedbackGain``).
     """
     try:
         rows, cols, _, fmt, kind, _ = sio.mminfo(path)
@@ -182,8 +194,6 @@ def _read_matrix(path, key, dense=False):
         mat = np.atleast_2d(np.asarray(mat, dtype=float))
     else:
         mat = sp.csc_matrix(mat)
-    if not np.isfinite(mat if dense else mat.data).all():
-        raise ValidationError(f"finite: {key} has a NaN or Inf entry")
     return mat
 
 
@@ -213,17 +223,19 @@ def load_system(paths, validate=True):
 
     ``paths`` maps the keys M, A, G, B, C to file paths; a missing key is
     a ParseError.  Each file is read by ``_read_matrix`` (B and C
-    densified).  With ``validate`` the system, M as read, is checked by
-    ``DescriptorSystem.validate``, the one structural check: shapes, M's
-    symmetry within ``SYM_TOL``, then the desk-scale dense checks.
-    ``validate=False`` skips all of them.  The returned M is symmetrized
-    exactly, (M + M^T) / 2.
+    densified).  Making the system refuses a NaN or Inf entry, also with
+    ``validate=False``; it is paid twice, since the symmetrizing
+    ``replace`` makes the system again.  With ``validate`` the system, M
+    as read, is checked by ``DescriptorSystem.validate``, the one
+    structural check: shapes, M's symmetry within ``SYM_TOL``, then the
+    desk-scale dense checks.  ``validate=False`` skips those.  The
+    returned M is symmetrized exactly, (M + M^T) / 2.
     """
     missing = [k for k in _MATRIX_KEYS if k not in paths]
     if missing:
         raise ParseError(f"missing matrix paths: {missing}")
-    M, A, G = (_read_matrix(paths[k], k) for k in ("M", "A", "G"))
-    B, C = (_read_matrix(paths[k], k, dense=True) for k in ("B", "C"))
+    M, A, G = (_read_matrix(paths[k]) for k in ("M", "A", "G"))
+    B, C = (_read_matrix(paths[k], dense=True) for k in ("B", "C"))
     sys_ = DescriptorSystem(M=M, A=A, G=G, B=B, C=C)
     if validate:
         sys_.validate()
@@ -440,7 +452,10 @@ def generate_synthetic(spec):
     Instability, when requested, is planted exactly on ``count``
     constraint-free nodes (see ``_plant_unstable``), so ``count`` is at
     most the number of empty rows of G; the planted spectrum is checked
-    against the dense pencil for n_v <= ``oracle.size_cap()``.
+    against the dense pencil for n_v <= ``oracle.size_cap()``.  The
+    matrices are built without overflow warnings: a spec whose viscosity
+    or shift overflows an entry is the system's one-line ValidationError
+    ``finite: <key> has a NaN or Inf entry``.
     """
     if spec.n_v <= 0 or spec.n_p < 0 or spec.n_b <= 0 or spec.n_c <= 0:
         raise InfeasibleSpec(f"nonpositive dimensions in {spec}")
@@ -473,19 +488,21 @@ def generate_synthetic(spec):
     else:
         lap, M, conv = _laplacian_1d(n_v), _mass_1d(n_v), _convection_1d(n_v)
         nu = 1.0
-    A = (
-        -nu * lap
-        - 0.5 * sp.eye(n_v, format="csc")
-        + conv
-        + _stencil_skew(n_v, rng, spec.grid)
-    ).tocsc()
-    G = _gradient_pattern(n_v, spec.n_p, spec.grid)
-    B = rng.standard_normal((n_v, spec.n_b))
-    B /= la.norm(B, axis=0)
-    C = rng.standard_normal((spec.n_c, n_v))
-    C /= la.norm(C, axis=1)[:, None]
-    if spec.unstable is not None:
-        M, A = _plant_unstable(M, A, G, spec.unstable)
+    # A spec that overflows is refused by the system's finiteness check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = (
+            -nu * lap
+            - 0.5 * sp.eye(n_v, format="csc")
+            + conv
+            + _stencil_skew(n_v, rng, spec.grid)
+        ).tocsc()
+        G = _gradient_pattern(n_v, spec.n_p, spec.grid)
+        B = rng.standard_normal((n_v, spec.n_b))
+        B /= la.norm(B, axis=0)
+        C = rng.standard_normal((spec.n_c, n_v))
+        C /= la.norm(C, axis=1)[:, None]
+        if spec.unstable is not None:
+            M, A = _plant_unstable(M, A, G, spec.unstable)
     sys_ = DescriptorSystem(M=M, A=A, G=G, B=B, C=C).validate()
     if spec.unstable is not None and n_v <= oracle.size_cap():
         _verify_unstable(sys_, spec.unstable)

@@ -397,13 +397,13 @@ class TestOverlappedSolves:
         tried, running = [], []
         real = kernels.factor_saddle
 
-        def held_back(W, G, kind="custom", shift=None):
+        def held_back(W, G, kind="custom"):
             tried.append(kind)
             running.append(kind)
             try:
                 if kind == "mass":
                     time.sleep(0.2)
-                return real(W, G, kind=kind, shift=shift)
+                return real(W, G, kind=kind)
             finally:
                 running.remove(kind)
 

@@ -802,6 +802,31 @@ class TestErrorsAndConfig:
         for key, value in payload.items():
             assert type(value) in MANIFEST_TYPES[key], (key, value)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--nv", "40", "--np", "4", "--unstable", "1", "--shift", "1.5e308"],
+            ["gen", "--grid", "6", "6", "--np", "4", "--viscosity", "1e308"],
+            ["simulate", "--input", "const:1e308,1e308", "--horizon", "1"],
+        ],
+        ids=["gen-shift", "gen-viscosity", "simulate-input"],
+    )
+    def test_overflow_is_one_line_error(self, bundle, tmp_path, argv):
+        # In a child process: its stderr holds any warning as a user sees it.
+        paths = [str(Path(ekstab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        result = subprocess.run(
+            [sys.executable, "-m", "ekstab.cli", *_with_bundle(argv, bundle),
+             "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        )
+        assert result.returncode == 1
+        err = result.stderr.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_console_entry_point(self, tmp_path):
         # The child imports the package from where this process found it.
         paths = [str(Path(ekstab.__file__).parents[1]), os.environ.get("PYTHONPATH")]

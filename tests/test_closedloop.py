@@ -62,7 +62,7 @@ class TestSmwSolve:
         cl = ClosedLoopSystem(sys60u, zero_gain)
         rng = np.random.default_rng(0)
         rhs = rng.standard_normal((sys60u.n_v, 2))
-        plain = kernels.solve_saddle(cl.fact_stiff, rhs)
+        plain = kernels.solve_saddle(cl.sys.saddle("stiffness"), rhs)
         corrected = cl.solve_stiff(rhs)
         assert la.norm(corrected - plain, 2) <= 1e-14 * la.norm(plain, 2)
 
@@ -167,12 +167,12 @@ class TestReduceClosedLoop:
         basis_ol = ekba_basis(sys60u, 4, FORWARD)
         assert la.norm(basis_cl.V() - basis_ol.V(), 2) <= 1e-12
 
-    def test_reduced_operator_stable_at_exactness(self, sys60u, cl60):
+    def test_reduced_operator_stable_at_exactness(self, sys60u, gain60, cl60):
         m = (sys60u.n_v - sys60u.n_p) // (2 * sys60u.n_b)
         basis, model = reduce_closed_loop(cl60, m)
         assert np.max(la.eigvals(model.a).real) < 0.0
         # At exactness the reduced spectrum is the closed-loop finite spectrum.
-        spectrum = oracle.pencil_finite_spectrum(sys60u, cl60.gain)
+        spectrum = oracle.pencil_finite_spectrum(sys60u, gain60)
         assert np.allclose(
             np.sort(la.eigvals(model.a).real), np.sort(spectrum.real), atol=1e-7
         )

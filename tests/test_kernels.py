@@ -66,7 +66,7 @@ class TestFactorSaddle:
         W = (1j * s.M - s.A).tocsc()
         tracemalloc.start()
         try:
-            f = factor_saddle(W, s.G, kind="shifted", shift=1j)
+            f = factor_saddle(W, s.G, kind="shifted")
             grown = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()

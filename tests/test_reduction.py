@@ -41,7 +41,6 @@ def _oscillator():
 
 def _first_order_model():
     return ReducedModel(
-        form=STATE_SPACE,
         a=np.array([[-1.0]]),
         b=np.array([[1.0]]),
         c=np.array([[1.0]]),
@@ -198,7 +197,6 @@ class TestEvalFullTF:
 class TestEvalReducedTF:
     def test_scalar_analytic(self):
         model = ReducedModel(
-            form=STATE_SPACE,
             a=np.array([[-1.0]]),
             b=np.array([[1.0]]),
             c=np.array([[1.0]]),
@@ -224,7 +222,6 @@ class TestFrequencySweep:
 
     def test_siso_analytic_response(self, siso):
         model = ReducedModel(
-            form=STATE_SPACE,
             a=np.array([[-1.0]]),
             b=np.array([[1.0]]),
             c=np.array([[1.0]]),
@@ -243,7 +240,7 @@ class TestFrequencySweep:
             M=sys60.M, A=sys60.A, G=sys60.G, B=sys60.B[:, perm], C=sys60.C
         )
         permuted_model = ReducedModel(
-            form=STATE_SPACE, a=model.a, b=model.b[:, perm], c=model.c
+            a=model.a, b=model.b[:, perm], c=model.c
         )
         s1 = frequency_sweep(sys60, model, n_points=25)
         s2 = frequency_sweep(permuted_sys, permuted_model, n_points=25)
@@ -294,7 +291,6 @@ class TestFrequencySweep:
         # The reduced model's poles +-i sit on the grid at omega = 1 (index
         # 4); the full model is finite there, the reduced one is not.
         model = ReducedModel(
-            form=STATE_SPACE,
             a=np.array([[0.0, 1.0], [-1.0, 0.0]]),
             b=np.array([[0.0], [1.0]]),
             c=np.array([[1.0, 0.0]]),

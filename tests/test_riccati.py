@@ -3,8 +3,9 @@ import pytest
 import scipy.linalg as la
 
 from ekstab import oracle, riccati
-from ekstab.errors import DimensionMismatch, NoStabilizingSolution
+from ekstab.errors import DimensionMismatch, NoStabilizingSolution, ValidationError
 from ekstab.riccati import (
+    FeedbackGain,
     care_dense,
     care_newton_kleinman,
     ebara_solve,
@@ -269,6 +270,12 @@ class TestFeedbackGain:
         assert gain.matrix() is gain.matrix()
         assert np.array_equal(gain.matrix(), (sys60u.B.T @ z) @ (sys60u.M @ z).T)
         assert (gain.n_b, gain.n_v, gain.rank) == (sys60u.n_b, sys60u.n_v, z.shape[1])
+
+    def test_non_finite_factor_refused_before_k_is_formed(self):
+        k = np.ones((2, 5))
+        k[1, 2] = np.inf
+        with pytest.raises(ValidationError, match="finite: K "):
+            FeedbackGain(left=np.eye(2), right=k)
 
     def test_closed_loop_pencil_stable(self, sys60u):
         sol = ebara_solve(sys60u, tol=1e-8)

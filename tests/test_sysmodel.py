@@ -188,6 +188,17 @@ class TestValidate:
         with pytest.raises(ValidationError, match=message):
             bad.validate()
 
+    @pytest.mark.parametrize("key", list("MAGBC"))
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_refused_when_made(self, sys60, key, value):
+        mat = getattr(sys60, key).copy()
+        if sp.issparse(mat):
+            mat.data[0] = value
+        else:
+            mat[0, 0] = value
+        with pytest.raises(ValidationError, match=f"finite: {key} "):
+            replace(sys60, **{key: mat})
+
     def test_raised_oracle_cap_moves_the_dense_checks(self, monkeypatch):
         s = generate_synthetic(SyntheticSpec(576, 36, seed=5, grid=GridSpec(24, 24)))
         bad = replace(s, M=(s.M - 2.0 * sp.eye(576)).tocsc())
@@ -267,6 +278,11 @@ class TestGenerateSynthetic:
     )
     def test_infeasible_specs(self, spec):
         with pytest.raises(InfeasibleSpec):
+            generate_synthetic(spec)
+
+    def test_overflowing_viscosity_refused_when_made(self):
+        spec = SyntheticSpec(36, 4, grid=GridSpec(6, 6, viscosity=1e308))
+        with pytest.raises(ValidationError, match="finite: A "):
             generate_synthetic(spec)
 
     def test_unit_normalized_maps(self, sys60):
