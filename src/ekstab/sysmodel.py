@@ -189,12 +189,10 @@ def _read_matrix(path, dense=False):
         mat = sio.mmread(path)
     except (ValueError, OSError, TypeError) as exc:
         raise ParseError(f"cannot read Matrix Market file {path}: {exc}") from exc
-    if dense:
-        mat = mat.toarray() if sp.issparse(mat) else mat
-        mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    else:
-        mat = sp.csc_matrix(mat)
-    return mat
+    if not dense:
+        return sp.csc_matrix(mat)
+    mat = mat.toarray() if sp.issparse(mat) else mat
+    return np.atleast_2d(np.asarray(mat, dtype=float))
 
 
 def _write_matrix(path, mat):
