@@ -10,6 +10,9 @@ configuration.
 """
 
 import argparse
+import contextlib
+import ctypes
+import glob
 import json
 import math
 import os
@@ -50,6 +53,58 @@ from .sysmodel import (
     read_key_values,
     write_system,
 )
+
+
+# The OpenBLAS that the numpy and scipy wheels load: the package, the
+# library file in its ``<package>.libs`` folder and the suffix of the
+# library's thread-count symbols.
+_OPENBLAS = (("numpy", "libscipy_openblas64_*", "64_"), ("scipy", "libscipy_openblas*", ""))
+
+
+def _openblas_threads():
+    """(set, get) thread-count functions of each OpenBLAS numpy and scipy loaded.
+
+    A package that is not imported, or a library or symbol that is not
+    there, is skipped.
+    """
+    found = []
+    for package, pattern, suffix in _OPENBLAS:
+        module = sys.modules.get(package)
+        if module is None:
+            continue
+        folder = os.path.join(os.path.dirname(module.__file__), os.pardir, f"{package}.libs")
+        for path in sorted(glob.glob(os.path.join(folder, f"{pattern}.so*"))):
+            try:
+                lib = ctypes.CDLL(path)
+                found.append(
+                    tuple(
+                        getattr(lib, f"scipy_openblas_{verb}_num_threads{suffix}")
+                        for verb in ("set", "get")
+                    )
+                )
+            except (OSError, AttributeError):
+                continue
+    return found
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with one thread in each OpenBLAS that numpy and scipy loaded.
+
+    The sweep's and the Arnoldi process's own threads then do not compete
+    with BLAS's, and the results do not depend on the cores.  Yields 1,
+    or None when no such library was found; each library's count is
+    restored on exit, so an in-process caller keeps its own.
+    """
+    libraries = _openblas_threads()
+    before = [get() for _, get in libraries]
+    for set_threads, _ in libraries:
+        set_threads(1)
+    try:
+        yield 1 if libraries else None
+    finally:
+        for (set_threads, _), count in zip(libraries, before):
+            set_threads(count)
 
 
 def _config_defaults(path, actions):
@@ -195,9 +250,22 @@ def _max_real(model):
     return float(np.linalg.eigvals(model.a).real.max())
 
 
+def _real_factors(sys_):
+    """The mass and stiffness factors, taken while a basis still holds them.
+
+    The sweep's real processes solve with both; held past the bases that
+    made them, neither is factored again.
+    """
+    return sys_.saddle("mass"), sys_.saddle("stiffness")
+
+
 def _cmd_bode(args, sys_):
-    model = build_reduced(ekba_basis(sys_, args.m))
+    basis = ekba_basis(sys_, args.m)
+    model = build_reduced(basis)
+    factors = _real_factors(sys_)
+    del basis
     fields = _sweep(args, sys_, model, "sweep.csv")
+    del factors
     print(
         f"sweep written to {_out(args, 'sweep.csv')} "
         f"(hinf sample {fields['hinf_sample']:.6e})"
@@ -241,9 +309,12 @@ def _cmd_stabilize(args, sys_):
     cl = ClosedLoopSystem(sys_, gain)
     model = reduce_closed_loop(cl, args.m)[1]
     # Held through the reduction, which shares the mass, stiffness and
-    # identity factors of the Riccati basis; the sweep reads neither basis.
+    # identity factors of the Riccati basis; the sweep reads neither basis,
+    # only the mass and stiffness factors.
+    factors = _real_factors(sys_)
     del solution
     fields.update(_sweep(args, cl, model, "closedloop_sweep.csv"))
+    del factors
     fields["reduced_order"] = model.order
     fields["reduced_max_real"] = _max_real(model)
     if sys_.n_v <= oracle.size_cap():
@@ -411,9 +482,10 @@ def main(argv=None):
             command_parser.set_defaults(**_config_defaults(args.config, actions))
             args = parser.parse_args(argv)
         _check_knobs(args, actions)
-        sys_ = load_bundle(args.bundle) if "bundle" in actions else None
-        t0 = time.perf_counter()
-        status, fields = args.func(args, sys_)
+        with _one_blas_thread() as blas_threads:
+            sys_ = load_bundle(args.bundle) if "bundle" in actions else None
+            t0 = time.perf_counter()
+            status, fields = args.func(args, sys_)
         if fields is not None:
             payload = {
                 "command": args.command,
@@ -422,6 +494,7 @@ def main(argv=None):
                     k: v for k, v in sorted(vars(args).items()) if k != "func"
                 },
                 **fields,
+                "blas_threads": blas_threads,
                 "wall_time_s": time.perf_counter() - t0,
             }
             with open(_out(args, "run_manifest.json"), "w") as f:

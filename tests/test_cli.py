@@ -54,6 +54,7 @@ MANIFEST_TYPES = {
     "steps": (int,),
     "max_output_error": (float, type(None)),
     "reduced_max_real": (float, type(None)),
+    "blas_threads": (int, type(None)),
 }
 
 # {command: {dest: (default, type, required, choices)}} of every flag.
@@ -348,6 +349,17 @@ class TestBode:
         assert payload["sweep_workers"] == 3
 
 
+    def test_one_factor_per_unshifted_block(self, bundle, tmp_path, kinds):
+        # The sweep's real processes reuse the reduction's mass and
+        # stiffness factors, held past its basis.
+        rc = main(["bode", "--bundle", str(bundle), "--m", "4", "--out", str(tmp_path)])
+        assert rc == 0
+        payload = json.loads((tmp_path / "run_manifest.json").read_text())
+        unshifted = sorted(kind for kind in kinds if kind != "shifted")
+        assert unshifted == ["identity", "mass", "stiffness"]
+        assert kinds.count("shifted") == payload["sweep_factorizations"]
+
+
 class TestStabilize:
     def test_artifacts(self, bundle, tmp_path):
         rc = main(
@@ -365,7 +377,7 @@ class TestStabilize:
              "--out", str(tmp_path)]
         )
         assert rc == 0
-        assert sorted(kinds) == ["identity", "mass"] + ["shifted"] * 4 + ["stiffness"]
+        assert sorted(kinds) == ["identity", "mass", "stiffness"]
 
     def test_sweep_holds_nothing_of_the_earlier_stages(
         self, bundle, tmp_path, monkeypatch
@@ -393,7 +405,7 @@ class TestStabilize:
         )
         assert rc == 0
         assert sorted(refs) == ["basis", "reduction", "z"]
-        assert alive == []
+        assert sorted(alive) == ["mass", "stiffness"]
 
     def test_exactness_error_column(self, bundle, tmp_path):
         rc = main(
@@ -866,3 +878,49 @@ class TestDeterminism:
         assert (outs[0][1] / "K.mtx").read_bytes() == (
             outs[1][1] / "K.mtx"
         ).read_bytes()
+
+    def test_commands_run_on_one_blas_thread_and_restore_the_count(
+        self, bundle, tmp_path, monkeypatch
+    ):
+        before = [get() for _, get in cli._openblas_threads()]
+        during = []
+        reduce = cli._cmd_reduce
+
+        def looking(args, sys_):
+            during.extend(get() for _, get in cli._openblas_threads())
+            return reduce(args, sys_)
+
+        monkeypatch.setattr(cli, "_cmd_reduce", looking)
+        assert main(
+            ["reduce", "--bundle", str(bundle), "--m", "2", "--out", str(tmp_path)]
+        ) == 0
+        assert during == [1] * len(before)
+        assert [get() for _, get in cli._openblas_threads()] == before
+        payload = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert payload["blas_threads"] == (1 if before else None)
+
+    def test_default_blas_threading_writes_the_one_thread_bytes(self, tmp_path):
+        # With OpenBLAS's own threading the generalized model's A_m and M_m
+        # on this bundle differed in their last digits from one thread's.
+        assert main(
+            ["gen", "--grid", "20", "20", "--np", "25", "--unstable", "2",
+             "--out", str(tmp_path / "sys")]
+        ) == 0
+        paths = [str(Path(ekstab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        unset = {k: v for k, v in env.items() if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")}
+        one = {**env, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+        for name, child_env in (("default", unset), ("one", one)):
+            result = subprocess.run(
+                [sys.executable, "-m", "ekstab.cli", "reduce", "--form", "generalized",
+                 "--bundle", str(tmp_path / "sys" / "system.manifest"),
+                 "--out", str(tmp_path / name)],
+                capture_output=True,
+                text=True,
+                env=child_env,
+            )
+            assert result.returncode == 0, result.stderr
+        for fname in ("A_m.mtx", "M_m.mtx", "B_m.mtx", "C_m.mtx"):
+            assert (tmp_path / "default" / fname).read_bytes() == (
+                tmp_path / "one" / fname
+            ).read_bytes()

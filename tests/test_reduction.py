@@ -54,7 +54,45 @@ def _serial_responses(system, model, omegas):
     return np.array(full), np.array(reduced)
 
 
-def _per_shift_krylov(solve, sys_, x0, sigma, shifts):
+def _oscillator_bank(n_osc=16, pole=True, integrator=False, algebraic=False):
+    """Damped oscillators at 0.5..2 rad/s: a spectrum the real processes cannot serve.
+
+    Their 2 n_osc states outnumber the 30 one-column steps of a sweep
+    process.  ``pole`` adds the undamped oscillator whose eigenvalues +-i
+    sit on the grid point omega = 1, ``integrator`` a state with A = 0,
+    which makes the stiffness block singular, and ``algebraic`` a state
+    with M = 0 and A = -1, which makes the mass block singular.
+    """
+    blocks = [np.array([[0.0, w], [-w, -0.1 * w]]) for w in np.geomspace(0.5, 2.0, n_osc)]
+    if pole:
+        blocks.append(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    if integrator:
+        blocks.append(np.zeros((1, 1)))
+    if algebraic:
+        blocks.append(-np.ones((1, 1)))
+    A = sp.block_diag(blocks, format="csc")
+    n_v = A.shape[0]
+    mass = np.ones(n_v)
+    if algebraic:
+        mass[-1] = 0.0
+    rng = np.random.default_rng(0)
+    return DescriptorSystem(
+        M=sp.diags(mass, format="csc"),
+        A=A,
+        G=sp.csc_matrix((n_v, 0)),
+        B=rng.standard_normal((n_v, 1)),
+        C=rng.standard_normal((1, n_v)),
+    )
+
+
+def _anchor_process(pair, sigma, shifts):
+    """The operator, start block and coefficients of the anchor process at sigma."""
+    solve, x0 = reduction._anchor(pair, sigma)
+    M = pair.sys.M
+    return (lambda q: solve(M @ q)), x0, {i: sigma - s for i, s in shifts.items()}
+
+
+def _per_shift_krylov(op, sys_, x0, coefs):
     """``reduction._shifted_krylov`` with one projected solve per open shift per step."""
     n_v, nb = x0.shape
     blocks = min(reduction.SWEEP_BLOCKS, (n_v - sys_.n_p) // nb)
@@ -63,21 +101,21 @@ def _per_shift_krylov(solve, sys_, x0, sigma, shifts):
     cv = np.empty((sys_.n_c, blocks * nb), dtype=complex)
     q, r0 = np.linalg.qr(x0)
     tol = reduction.SWEEP_TOL * la.norm(r0)
-    open_, done = dict(shifts), {}
+    open_, done = dict(coefs), {}
     for k in range(1, blocks + 1):
         cols = k * nb
         basis[:, cols - nb : cols] = q
         cv[:, cols - nb : cols] = sys_.C @ q
-        w = solve(sys_.M @ q)
+        w = op(q)
         hess[:cols, cols - nb : cols], w = kernels.block_gram_schmidt(w, basis[:, :cols])
         q, r = np.linalg.qr(w)
         hess[cols : cols + nb, cols - nb : cols] = r
         rhs = np.zeros((cols, nb), dtype=complex)
         rhs[:nb] = r0
-        for i, s in list(open_.items()):
-            lhs = np.eye(cols) - (sigma - s) * hess[:cols, :cols]
+        for i, c in list(open_.items()):
+            lhs = np.eye(cols) - c * hess[:cols, :cols]
             y, rcond = reduction._projected_solve(lhs, rhs)
-            if y is None or not abs(sigma - s) * la.norm(r @ y[-nb:]) <= tol:
+            if y is None or not abs(c) * la.norm(r @ y[-nb:]) <= tol:
                 continue
             del open_[i]
             if rcond >= reduction.SWEEP_RCOND:
@@ -278,14 +316,15 @@ class TestFrequencySweep:
         assert sweep.skipped == [4]
 
     def test_singular_point_inside_a_group_is_skipped(self):
-        # omega = 1 (grid index 10) is not its group's anchor here; its
-        # projected matrix is singular, so it stays open and is the
-        # group's second anchor.
+        # omega = 1 (grid index 10) is not its group's middle point here; its
+        # projected matrix is singular in both real processes, so it is the
+        # group's one open point and its anchor, on the spectrum.
         sweep = frequency_sweep(
             _oscillator(), _first_order_model(), w_lo=0.1, w_hi=10.0, n_points=21
         )
         assert sweep.skipped == [10]
-        assert sweep.fallbacks == 1
+        assert sweep.factorizations == 1
+        assert sweep.fallbacks == 0
 
     def test_point_on_a_reduced_pole_is_a_nan_row(self, siso):
         # The reduced model's poles +-i sit on the grid at omega = 1 (index
@@ -306,19 +345,42 @@ class TestFrequencySweep:
         assert np.isnan(sweep.reduced.values[4]).all()
         assert np.isfinite(np.delete(sweep.reduced.values, 4, axis=0)).all()
 
-    def test_anchor_on_the_pole_hands_its_group_to_the_next_anchor(self):
-        # The grid is one group whose first anchor, omega = 1 (index 10),
-        # is the pole: the middle of the 20 open points is the second
-        # anchor, and its Krylov process serves the other 19.
+    def test_real_processes_leave_only_the_pole_to_an_anchor(self):
+        # The grid is one group; the two-state oscillator's real processes
+        # span its whole space and serve every point but the pole, omega = 1
+        # (index 10), whose anchor hits the spectrum.
         osc, model = _oscillator(), _first_order_model()
         sweep = frequency_sweep(
             osc, model, w_lo=10**-0.25, w_hi=10**0.25, n_points=21
         )
         assert sweep.skipped == [10]
+        assert sweep.factorizations == 1
+        assert sweep.fallbacks == 0
+        rest = [i for i in range(21) if i != 10]
+        full, _ = _serial_responses(osc, model, sweep.full.omegas[rest])
+        for i, ref in zip(rest, full):
+            f = sweep.full.values[i]
+            assert la.norm(f - ref, 2) <= 1e-12 * la.norm(ref, 2)
+
+    def test_anchor_on_the_pole_hands_its_group_to_the_next_anchor(self):
+        # The grid is one group that the real processes cannot serve, whose
+        # first anchor, omega = 1 (index 10), is the pole: the middle of the
+        # 20 open points is the second anchor, and its Krylov process
+        # serves the other 19.
+        bank, model = _oscillator_bank(), _first_order_model()
+        sweep = frequency_sweep(
+            bank, model, w_lo=10**-0.25, w_hi=10**0.25, n_points=21
+        )
+        omegas = sweep.full.omegas
+        groups = reduction._open_groups(omegas, range(21))
+        pair = as_pair(bank)
+        assert reduction._from_zero(pair, omegas, groups) == {}
+        assert reduction._from_infinity(pair, omegas, groups) == {}
+        assert sweep.skipped == [10]
         assert sweep.factorizations == 2
         assert sweep.fallbacks == 1
         rest = [i for i in range(21) if i != 10]
-        full, _ = _serial_responses(osc, model, sweep.full.omegas[rest])
+        full, _ = _serial_responses(bank, model, omegas[rest])
         for i, ref in zip(rest, full):
             f = sweep.full.values[i]
             assert la.norm(f - ref, 2) <= 1e-12 * la.norm(ref, 2)
@@ -354,17 +416,23 @@ class TestFrequencySweep:
         assert sweep.fallbacks == 0
         assert sweep.factorizations == kinds.count("shifted") <= 20
 
-    def test_default_grid_takes_one_factorization_per_decade(self, swept, kinds):
+    def test_real_processes_serve_the_default_grid_without_a_factorization(
+        self, swept, kinds
+    ):
         system, model = swept
         sweep = frequency_sweep(system, model)
-        assert sweep.factorizations == kinds.count("shifted") == 10
+        assert sweep.factorizations == kinds.count("shifted") == 0
         assert sweep.fallbacks == 0
 
+    @pytest.mark.parametrize("blocks", [reduction.SWEEP_BLOCKS, 1])
     def test_closed_loop_anchor_reuses_the_corrector_solve_of_b(
-        self, sys60, monkeypatch
+        self, sys60, monkeypatch, blocks
     ):
-        # The SMW corrector of a group's anchor already holds its base solve
-        # of B, so the start block S B costs no saddle solve of its own.
+        # The SMW corrector of every anchor and of the sigma = 0 process
+        # already holds its base solve of B, so the start block S B costs
+        # no saddle solve of its own.  One block step leaves every point to
+        # the anchors.
+        monkeypatch.setattr(reduction, "SWEEP_BLOCKS", blocks)
         gain = FeedbackGain(left=np.eye(sys60.n_b), right=0.5 * sys60.B.T)
         system = ClosedLoopSystem(sys60, gain)
         model = reduce_closed_loop(system, 3)[1]
@@ -382,11 +450,10 @@ class TestFrequencySweep:
         monkeypatch.setattr(
             kernels.SmwCorrector,
             "solve_b",
-            lambda smw: smw.solve(sys60.B.astype(complex)),
+            lambda smw: smw.solve(sys60.B.astype(complex) if smw.fact.is_complex else sys60.B),
         )
         reference = frequency_sweep(system, model, n_points=30)
-        groups = len(reduction._sweep_groups(sweep.full.omegas))
-        assert len(calls) - reused == groups
+        assert len(calls) - reused == sweep.factorizations + 1
         _assert_same_sweep(sweep, reference)
 
     def test_full_values_match_the_theta_oracle(self, sys60, proj60):
@@ -456,18 +523,20 @@ class TestFrequencySweep:
         assert abs(first[0] - 1e-5) <= 1e-18
 
 
-class TestSweepGroups:
-    def test_default_grid_is_ten_groups_of_twenty(self):
-        groups = reduction._sweep_groups(np.logspace(-5, 5, 200))
-        assert groups == [range(20 * g, 20 * g + 20) for g in range(10)]
+class TestOpenGroups:
+    omegas = np.logspace(-5, 5, 200)
+
+    def test_the_whole_default_grid_is_ten_groups_of_twenty(self):
+        groups = reduction._open_groups(self.omegas, range(200))
+        assert groups == [list(range(20 * g, 20 * g + 20)) for g in range(10)]
 
     def test_last_point_past_a_decade_by_rounding_opens_no_group(self):
         omegas = np.array([1.0, 3.0, 10.0 * (1.0 + 1e-15)])
         assert np.log10(omegas[-1] / omegas[0]) > 1.0
-        assert reduction._sweep_groups(omegas) == [range(3)]
-        # Past it by more than rounding, the last point is a group of its own.
+        assert reduction._open_groups(omegas, range(3)) == [[0, 1, 2]]
+        # Past it by more than rounding, the run is cut in two.
         omegas[-1] = 10.0**1.01
-        assert reduction._sweep_groups(omegas) == [range(2), range(2, 3)]
+        assert reduction._open_groups(omegas, range(3)) == [[0, 1], [2]]
 
     @pytest.mark.parametrize(
         "omegas",
@@ -475,7 +544,110 @@ class TestSweepGroups:
         ids=["inside", "one_decade", "one_point"],
     )
     def test_a_grid_within_one_decade_is_one_group(self, omegas):
-        assert reduction._sweep_groups(omegas) == [range(len(omegas))]
+        n = len(omegas)
+        assert reduction._open_groups(omegas, range(n)) == [list(range(n))]
+
+    def test_run_across_a_decade_edge_is_cut_into_equal_parts(self):
+        # The open points of the 60-by-60 benchmark input (seed 3): cut at
+        # the decade edge, 95..99 and 100..118 took three anchors.
+        groups = reduction._open_groups(self.omegas, list(range(95, 119)))
+        assert groups == [list(range(95, 107)), list(range(107, 119))]
+
+    def test_each_run_is_cut_on_its_own(self):
+        open_ = [3, *range(90, 100), 150, 151]
+        groups = reduction._open_groups(self.omegas, open_)
+        assert groups == [[3], list(range(90, 100)), [150, 151]]
+
+    def test_a_part_is_never_empty(self):
+        # A run of two points five decades apart is two parts, not five.
+        assert reduction._open_groups(self.omegas[::100], range(2)) == [[0], [1]]
+
+    def test_no_open_point_is_no_group(self):
+        assert reduction._open_groups(self.omegas, []) == []
+
+
+class TestRealProcesses:
+    @pytest.mark.parametrize("serve", [reduction._from_zero, reduction._from_infinity])
+    def test_served_values_match_the_per_shift_factorization(self, swept, serve):
+        system, _ = swept
+        omegas = np.logspace(-5, 5, 200)
+        groups = reduction._open_groups(omegas, range(200))
+        served = serve(as_pair(system), omegas, groups)
+        # Each process reaches the decade edge on its own side of the grid.
+        edge = 0 if serve is reduction._from_zero else 199
+        assert edge in served
+        for i, f in served.items():
+            ref = eval_full_tf(system, 1j * omegas[i])
+            assert la.norm(f - ref, 2) <= 1e-12 * la.norm(ref, 2), i
+
+    def test_serve_the_decade_edges_of_the_default_grid(self, swept):
+        system, _ = swept
+        omegas = np.logspace(-5, 5, 200)
+        groups = reduction._open_groups(omegas, range(200))
+        pair = as_pair(system)
+        served = {
+            **reduction._from_infinity(pair, omegas, groups),
+            **reduction._from_zero(pair, omegas, groups),
+        }
+        edges = {i for g in groups for i in (g[0], g[-1])}
+        assert edges <= set(served)
+
+    def test_make_no_complex_factorization_or_solve(self, swept, kinds, monkeypatch):
+        system, _ = swept
+        omegas = np.logspace(-5, 5, 200)
+        groups = reduction._open_groups(omegas, range(200))
+        pair = as_pair(system)
+        held = pair.sys.saddle("mass"), pair.sys.saddle("stiffness")
+        complex_solves = []
+        real = kernels.solve_saddle
+
+        def looking(fact, rhs, *args, **kwargs):
+            if fact.is_complex or np.iscomplexobj(rhs):
+                complex_solves.append(fact.kind)
+            return real(fact, rhs, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "solve_saddle", looking)
+        made = len(kinds)
+        for serve in (reduction._from_zero, reduction._from_infinity):
+            assert serve(pair, omegas, groups)
+        assert kinds[made:] == []
+        assert complex_solves == []
+        del held
+
+    @pytest.mark.parametrize("singular", ["stiffness", "capture", "mass"])
+    def test_singular_real_block_leaves_its_points_to_the_others(self, singular):
+        # A state with A = 0 makes the stiffness block singular; a gain
+        # K = w^T / (w^T A^-1 B) makes the capture matrix I - K A^-1 B
+        # singular.  Either puts a pole at s = 0.  A state with M = 0 makes
+        # the mass block singular.  None is an error: the other real
+        # process and the anchors serve every point.
+        bank = _oscillator_bank(
+            pole=False,
+            integrator=singular == "stiffness",
+            algebraic=singular == "mass",
+        )
+        system = bank
+        if singular == "capture":
+            w = np.ones((1, bank.n_v))
+            ainv_b = np.linalg.solve(bank.A.toarray(), bank.B)
+            system = ClosedLoopSystem(
+                bank, FeedbackGain(left=np.eye(1), right=w / (w @ ainv_b))
+            )
+        blind, other = reduction._from_zero, reduction._from_infinity
+        if singular == "mass":
+            blind, other = other, blind
+        model = _first_order_model()
+        sweep = frequency_sweep(system, model, w_lo=1e-2, w_hi=1e2, n_points=40)
+        omegas = sweep.full.omegas
+        pair = as_pair(system)
+        groups = reduction._open_groups(omegas, range(40))
+        assert blind(pair, omegas, groups) == {}
+        assert other(pair, omegas, groups)
+        assert sweep.factorizations >= len(groups) // 2
+        assert not sweep.skipped
+        full, _ = _serial_responses(system, model, omegas)
+        for f, ref in zip(sweep.full.values, full):
+            assert la.norm(f - ref, 2) <= 1e-12 * la.norm(ref, 2)
 
 
 class TestShiftedKrylov:
@@ -483,13 +655,13 @@ class TestShiftedKrylov:
         system, _ = swept
         pair = as_pair(system)
         omegas = np.logspace(-5, 5, 200)
-        for group in reduction._sweep_groups(omegas):
+        for group in reduction._open_groups(omegas, range(200)):
             anchor = group[len(group) // 2]
             sigma = 1j * omegas[anchor]
             shifts = {i: 1j * omegas[i] for i in group if i != anchor}
-            solve, x0 = reduction._anchor(pair, sigma)
-            done = reduction._shifted_krylov(solve, pair.sys, x0, sigma, shifts)
-            ref = _per_shift_krylov(solve, pair.sys, x0, sigma, shifts)
+            op, x0, coefs = _anchor_process(pair, sigma, shifts)
+            done = reduction._shifted_krylov(op, pair.sys, x0, [coefs])
+            ref = _per_shift_krylov(op, pair.sys, x0, coefs)
             assert sorted(done) == sorted(ref)
             for i, f in done.items():
                 assert la.norm(f - ref[i], 2) <= 1e-13 * la.norm(ref[i], 2)
@@ -504,10 +676,10 @@ class TestShiftedKrylov:
         lhs = np.eye(2) + 1j * osc.A.toarray()
         assert reduction._projected_solve(lhs, np.ones((2, 1), dtype=complex)) == (None, 0.0)
         shifts = {0: 0.5j, 1: 1j, 2: 2j}
-        solve, x0 = reduction._anchor(pair, 0j)
-        done = reduction._shifted_krylov(solve, osc, x0, 0j, shifts)
+        op, x0, coefs = _anchor_process(pair, 0j, shifts)
+        done = reduction._shifted_krylov(op, osc, x0, [coefs])
         assert sorted(done) == [0, 2]
-        assert sorted(_per_shift_krylov(solve, osc, x0, 0j, shifts)) == [0, 2]
+        assert sorted(_per_shift_krylov(op, osc, x0, coefs)) == [0, 2]
         for i in done:
             ref = eval_full_tf(osc, shifts[i])
             assert la.norm(done[i] - ref, 2) <= 1e-14 * la.norm(ref, 2)
