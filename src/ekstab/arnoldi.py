@@ -50,6 +50,9 @@ class OperatorPair:
     """Saddle-solve realization of the projected operator pair.
 
     Forward mode operates with (A, B), adjoint mode with (A^T, C^T).  The
+    pair is the one place that knows its direction and its gain: ``as_pair``
+    checks the direction, and a gain ``k_matrix`` makes both the products
+    (``apply``) and the solves (``solver``) those of A - B K.  The
     factorizations come from the system's shared saddle cache on first
     use: ``fact_mass`` and ``fact_identity`` hold the factors behind
     ``solve_mass`` and ``reproject``, and the cached ``solve_stiff``
@@ -102,8 +105,9 @@ class OperatorPair:
         return self.solver("stiffness")
 
     def apply(self, X):
-        """Matrix product with A^T (adjoint mode) or A."""
-        return (self.sys.A.T if self.adjoint else self.sys.A) @ X
+        """Matrix product with A^T (adjoint mode) or A, less B (K X) for a gain."""
+        ax = (self.sys.A.T if self.adjoint else self.sys.A) @ X
+        return ax if self.k_matrix is None else ax - self.start @ (self.k_matrix @ X)
 
     def apply_mass(self, X):
         return self.sys.M @ X
@@ -134,10 +138,17 @@ class OperatorPair:
 
 
 def as_pair(source, adjoint=False):
-    """``source`` itself if it is an operator pair, else the pair of the system."""
-    if isinstance(source, OperatorPair):
-        return source
-    return OperatorPair(source, adjoint=adjoint)
+    """The operator pair of ``source`` in the direction ``adjoint`` asks for.
+
+    A DescriptorSystem gets a new open-loop pair; a prebuilt pair is
+    returned unchanged, and one of the other direction is a ModeMismatch.
+    This is the one direction check of every caller.
+    """
+    if not isinstance(source, OperatorPair):
+        return OperatorPair(source, adjoint=adjoint)
+    if bool(source.adjoint) != bool(adjoint):
+        raise ModeMismatch(f"the pair is not the {ADJOINT if adjoint else FORWARD} one")
+    return source
 
 
 def _readonly(view):
@@ -281,14 +292,13 @@ def ekba_init(source, mode=FORWARD):
     mass-block solve runs on the worker thread while the caller does the
     stiffness-block solve, so their first-use factorizations overlap;
     when both fail, the mass block's error is raised.  A prebuilt pair
-    must already run in direction ``mode`` and carry no gain: a closed
-    loop is reduced on its open-loop basis (``reduce_closed_loop``).
+    of the other direction is refused by ``as_pair``, and one that carries
+    a gain here: a closed loop is reduced on its open-loop basis
+    (``reduce_closed_loop``).  Both are ModeMismatch.
     """
     if mode not in (FORWARD, ADJOINT):
         raise ModeMismatch(f"unknown Arnoldi mode {mode!r}")
     ops = as_pair(source, adjoint=(mode == ADJOINT))
-    if ops.adjoint != (mode == ADJOINT):
-        raise ModeMismatch(f"mode {mode!r} differs from the direction of the pair")
     if ops.k_matrix is not None:
         raise ModeMismatch("the Arnoldi process takes an open-loop pair, not a gain")
     s = ops.start

@@ -24,7 +24,6 @@ from .arnoldi import FORWARD, OperatorPair, as_pair, ekba_basis
 from .errors import (
     DimensionMismatch,
     InvalidInitialState,
-    ModeMismatch,
     ParseError,
     SimulationDiverged,
 )
@@ -36,10 +35,11 @@ class ClosedLoopSystem(OperatorPair):
     """Descriptor system with a low-rank LQR feedback A -> A - B K.
 
     The forward pair holding the gain only as its n_b x n_v array,
-    ``k_matrix`` (``gain.matrix()``).  Its saddle solves are those of
-    A - B K, each SMW corrector built on first use, but its products are
-    the open-loop ones, so ``ekba_init`` refuses it and
-    ``reduce_closed_loop`` reduces it.
+    ``k_matrix`` (``gain.matrix()``).  Its products (``apply``) and its
+    saddle solves, each SMW corrector built on first use, are those of
+    A - B K; the mass and identity solves hold no A and are the open
+    loop's.  ``ekba_init`` refuses it, and ``reduce_closed_loop`` reduces
+    it on the open-loop basis.
     """
 
     def __init__(self, sys_, gain):
@@ -221,13 +221,11 @@ def simulate_dae(sys_or_cl, u, h, t_end, v0=None, blowup=1e100, keep_states=Fals
     ``u`` is None (zero), a scalar or an array read flat (one entry or
     n_b, held for all t), or a callable giving (n_b,) samples, called
     once per grid time.  An input of another width (DimensionMismatch)
-    and an adjoint pair, whose start block is C^T (ModeMismatch), are
-    rejected before anything is factored.  The scaling of the constraint
-    blocks does not affect the returned velocity rows.
+    and an adjoint pair, whose start block is C^T (ModeMismatch from
+    ``as_pair``), are rejected before anything is factored.  The scaling
+    of the constraint blocks does not affect the returned velocity rows.
     """
     pair = as_pair(sys_or_cl)
-    if pair.adjoint:
-        raise ModeMismatch("simulation steps the forward pair, got an adjoint one")
     sys_ = pair.sys
     if v0 is None:
         v = np.zeros(sys_.n_v)

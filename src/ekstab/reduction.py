@@ -125,32 +125,42 @@ def eval_full_tf(system, s):
 
     ``system`` is a DescriptorSystem or a forward operator pair; for a
     ClosedLoopSystem A is A - B K, solved through the shifted
-    factorization plus an SMW correction.  One sparse factorization of
-    the shifted saddle matrix, real for a float s, and n_b columns of
-    solves; the sign of the constraint blocks only flips the discarded
-    multiplier.  It is the sweep's anchor at one point.
+    factorization plus an SMW correction.  An adjoint pair is a
+    ModeMismatch from ``as_pair``, raised before anything is factored.
+    One sparse factorization of the shifted saddle matrix, real for a
+    float s, and n_b columns of solves; the sign of the constraint blocks
+    only flips the discarded multiplier.  It is the sweep's anchor at
+    one point.
     """
     pair = as_pair(system)
     return pair.sys.C @ _anchor(pair, s)[1]
 
 
+def _solve_regular(lhs, rhs):
+    """(y, regular): y[k] solves lhs[regular][k] y[k] = rhs, in one batch.
+
+    ``regular`` marks the members of the stack ``lhs`` that are not
+    exactly singular (a solve raises only on a zero determinant), and y
+    holds their solutions only.  Batched, each member's solution is the
+    same arithmetic, bit for bit, as its own.
+    """
+    try:
+        return np.linalg.solve(lhs, rhs), np.ones(len(lhs), dtype=bool)
+    except np.linalg.LinAlgError:
+        regular = np.linalg.slogdet(lhs)[0] != 0
+        return np.linalg.solve(lhs[regular], rhs), regular
+
+
 def _reduced_responses(model, shifts):
     """(values, regular): c (s I - a)^-1 b (or c (s m - a)^-1 b) at every shift, in one batch.
 
-    ``regular`` marks the shifts that are no reduced-model eigenvalue (a
-    solve raises only on an exactly singular matrix); the value at one
-    that is is NaN.  Batched, each shift's value is the same arithmetic,
-    bit for bit, as its own.
+    ``regular`` marks the shifts that are no reduced-model eigenvalue
+    (``_solve_regular``); the value at one that is is NaN.
     """
     eye = np.eye(model.order) if model.mass is None else model.mass
-    lhs = shifts[:, None, None] * eye - model.a
-    regular = np.ones(len(shifts), dtype=bool)
-    try:
-        x = np.linalg.solve(lhs, model.b)
-    except np.linalg.LinAlgError:
-        regular = np.linalg.slogdet(lhs)[0] != 0
-        x = np.full((len(shifts), *model.b.shape), np.nan, dtype=complex)
-        x[regular] = np.linalg.solve(lhs[regular], model.b)
+    y, regular = _solve_regular(shifts[:, None, None] * eye - model.a, model.b)
+    x = np.full((len(shifts), *model.b.shape), np.nan, dtype=y.dtype)
+    x[regular] = y
     return model.c @ x, regular
 
 
@@ -265,13 +275,13 @@ def _shifted_krylov(op, sys_, x0, windows, by_output=False):
     without forming V_k y.  Each block step solves the projected systems
     of the open shifts of the first window that has any in one batched
     call, and takes the next window in the same step once that one is
-    closed, so a step's dense work is bounded by one group; only when the
-    batch raises does a shift whose projected matrix is exactly singular
-    (a zero determinant) drop out of that step and stay open.  A shift
-    is accepted once its residual is at most ``SWEEP_TOL`` ||R_0||, and
-    with ``by_output`` also at most ``SWEEP_TOL`` ||C y|| / ||C||_2: the
-    residual relative to the response, for a process whose start block
-    is not of the size of the responses it serves.  C y = (C V_k) y is
+    closed, so a step's dense work is bounded by one group; a shift whose
+    projected matrix is exactly singular (``_solve_regular``) drops out
+    of that step and stays open.  A shift is accepted once its residual
+    is at most ``SWEEP_TOL`` ||R_0||, and with ``by_output`` also at most
+    ``SWEEP_TOL`` ||C y|| / ||C||_2: the residual relative to the
+    response, for a process whose start block is not of the size of the
+    responses it serves.  C y = (C V_k) y is
     kept unless the projected matrix has a reciprocal condition below
     ``SWEEP_RCOND``; a shift still open after ``SWEEP_BLOCKS`` steps, or
     after the null(G^T) the basis lives in is spanned, is left out.  The
@@ -305,13 +315,9 @@ def _shifted_krylov(op, sys_, x0, windows, by_output=False):
             keys = list(window)
             coef = np.array(list(window.values()))
             lhs = np.eye(cols) - coef[:, None, None] * hess[:cols, :cols]
-            try:
-                y = np.linalg.solve(lhs, rhs)
-            except np.linalg.LinAlgError:
-                regular = np.linalg.slogdet(lhs)[0] != 0
-                keys = [i for i, ok in zip(keys, regular) if ok]
-                coef, lhs = coef[regular], lhs[regular]
-                y = np.linalg.solve(lhs, rhs)
+            y, regular = _solve_regular(lhs, rhs)
+            keys = [i for i, ok in zip(keys, regular) if ok]
+            coef, lhs = coef[regular], lhs[regular]
             residual = np.abs(coef) * np.linalg.norm(r @ y[:, -nb:], axis=(1, 2))
             out = cv[:, :cols] @ y
             bound = tol
@@ -339,35 +345,29 @@ def _from_zero(pair, omegas, groups):
         solve, x0 = pair.solver("stiffness", with_start=True)
     except (SingularSaddle, SingularCapture):
         return {}
-    M = pair.sys.M
     windows = [{i: 1j * omegas[i] for i in g} for g in groups]
-    served = _shifted_krylov(lambda q: solve(M @ q), pair.sys, x0, windows, by_output=True)
+    served = _shifted_krylov(
+        lambda q: solve(pair.apply_mass(q)), pair.sys, x0, windows, by_output=True
+    )
     return {i: -f for i, f in served.items()}
 
 
 def _from_infinity(pair, omegas, groups):
     """{i: F(j w_i)} served by the sigma = infinity process on the mass solve.
 
-    With S_M the mass solve and mu = 1/s, x(s) = mu y(s) with
-    (I - mu S_M (A - B K)) y(s) = S_M B, a real operator from a real
-    start; the groups are taken from the highest down.  A singular mass
-    block serves nothing.
+    With S_M the pair's mass solve and mu = 1/s, x(s) = mu y(s) with
+    (I - mu S_M A') y(s) = S_M B, A' the pair's product (A - B K for a
+    gain), a real operator from a real start; the groups are taken from
+    the highest down.  A singular mass block serves nothing.
     """
-    sys_, k_matrix = pair.sys, pair.k_matrix
     try:
-        fact = sys_.saddle("mass")
+        x0 = pair.solve_mass(pair.start)
     except SingularSaddle:
         return {}
-
-    def op(q):
-        aq = pair.apply(q)
-        if k_matrix is not None:
-            aq -= pair.start @ (k_matrix @ q)
-        return kernels.solve_saddle(fact, aq)
-
-    x0 = kernels.solve_saddle(fact, pair.start)
     windows = [{i: 1 / (1j * omegas[i]) for i in reversed(g)} for g in reversed(groups)]
-    served = _shifted_krylov(op, sys_, x0, windows, by_output=True)
+    served = _shifted_krylov(
+        lambda q: pair.solve_mass(pair.apply(q)), pair.sys, x0, windows, by_output=True
+    )
     return {i: f / (1j * omegas[i]) for i, f in served.items()}
 
 
@@ -379,7 +379,6 @@ def _group_responses(pair, omegas, group):
     it accepts; the rest stay open for the next.  An anchor that hits
     the spectrum serves nothing.  Each anchor is dropped before the next.
     """
-    M = pair.sys.M
     full = {}
     open_ = list(group)
     anchors = 0
@@ -394,7 +393,7 @@ def _group_responses(pair, omegas, group):
             open_ = list(coefs)
             continue
         full[anchor] = pair.sys.C @ x0
-        full.update(_shifted_krylov(lambda q: solve(M @ q), pair.sys, x0, [coefs]))
+        full.update(_shifted_krylov(lambda q: solve(pair.apply_mass(q)), pair.sys, x0, [coefs]))
         del solve
         open_ = [i for i in coefs if i not in full]
     return full, anchors
@@ -403,7 +402,9 @@ def _group_responses(pair, omegas, group):
 def frequency_sweep(system, model, w_lo=1e-5, w_hi=1e5, n_points=200):
     """Sample the exact and reduced responses over a log-spaced grid.
 
-    ``system`` is a DescriptorSystem or a ClosedLoopSystem.  Records
+    ``system`` is a DescriptorSystem or a forward operator pair such as a
+    ClosedLoopSystem; an adjoint pair is a ModeMismatch from ``as_pair``,
+    raised before anything is factored.  Records
     sigma_max(F(jw) - F_m(jw)) per point.  A point that hits the spectrum
     or a reduced-model pole is a NaN row, listed in ``skipped``, and the
     sweep continues.  ``hinf_sample`` is the grid maximum of the error, a

@@ -129,17 +129,24 @@ class RiccatiSolution:
     ``y`` solves the reduced equation at the final order, ``z`` is the
     lifted low-rank factor (X ~ Z Z^T), and ``residual_history`` records
     (iteration, relative residual) at every order with a reduced solution.
+    ``rank`` and ``status`` are read off ``z`` and ``converged``.
     """
 
     y: np.ndarray
     z: np.ndarray
-    rank: int
     residual_history: list
     iterations: int
     converged: bool
-    status: str
     basis: object = None
     iterates: list = field(default_factory=list)
+
+    @property
+    def rank(self):
+        return self.z.shape[1]
+
+    @property
+    def status(self):
+        return CONVERGED if self.converged else MAX_ITERATIONS
 
 
 def truncate_lowrank(y, basis, dtol, order=None):
@@ -207,11 +214,9 @@ def ebara_solve(sys_, tol=1e-8, dtol=1e-12, m_max=50, keep_iterates=False):
         return RiccatiSolution(
             y=np.zeros((0, 0)),
             z=np.zeros((sys_.n_v, 0)),
-            rank=0,
             residual_history=[(1, 0.0)],
             iterations=1,
             converged=True,
-            status=CONVERGED,
         )
     basis = ekba_init(sys_, ADJOINT)
     basis.reserve(m_max + 1)
@@ -241,16 +246,12 @@ def ebara_solve(sys_, tol=1e-8, dtol=1e-12, m_max=50, keep_iterates=False):
             iterates.append((m, y.copy()))
         if rel < tol or last:
             break
-    z = truncate_lowrank(y, basis, dtol, order=m)
-    converged = bool(rel < tol)
     return RiccatiSolution(
         y=y,
-        z=z,
-        rank=z.shape[1],
+        z=truncate_lowrank(y, basis, dtol, order=m),
         residual_history=history,
         iterations=m,
-        converged=converged,
-        status=CONVERGED if converged else MAX_ITERATIONS,
+        converged=bool(rel < tol),
         basis=basis,
         iterates=iterates,
     )

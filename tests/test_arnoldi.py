@@ -12,6 +12,7 @@ from ekstab.arnoldi import (
     ADJOINT,
     FORWARD,
     OperatorPair,
+    as_pair,
     ekba_basis,
     ekba_init,
     ekba_step,
@@ -25,7 +26,7 @@ from ekstab.errors import (
     RankDeficient,
     SingularSaddle,
 )
-from ekstab.riccati import ebara_solve, feedback_gain
+from ekstab.riccati import FeedbackGain, ebara_solve, feedback_gain
 from ekstab.sysmodel import (
     DescriptorSystem,
     GridSpec,
@@ -38,6 +39,24 @@ from ekstab.sysmodel import (
 def _spd(rng, n):
     a = rng.standard_normal((n, n))
     return a @ a.T + n * np.eye(n)
+
+
+class TestAsPair:
+    @pytest.mark.parametrize("adjoint", [False, True], ids=[FORWARD, ADJOINT])
+    def test_keeps_a_pair_of_the_asked_direction_and_refuses_the_other(
+        self, sys60, adjoint
+    ):
+        pair = OperatorPair(sys60, adjoint=adjoint)
+        assert as_pair(pair, adjoint=adjoint) is pair
+        with pytest.raises(ModeMismatch):
+            as_pair(pair, adjoint=not adjoint)
+
+    def test_a_closed_loop_is_a_forward_pair(self, sys60):
+        gain = FeedbackGain(left=np.eye(sys60.n_b), right=0.5 * sys60.B.T)
+        cl = ClosedLoopSystem(sys60, gain)
+        assert as_pair(cl) is cl
+        with pytest.raises(ModeMismatch):
+            as_pair(cl, adjoint=True)
 
 
 class TestInit:

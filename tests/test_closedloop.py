@@ -151,6 +151,12 @@ class TestClosedLoopSystem:
         with pytest.raises(DimensionMismatch):
             ClosedLoopSystem(sys60u, gain)
 
+    def test_apply_is_the_closed_loop_product(self, sys60u, gain60):
+        x = np.random.default_rng(8).standard_normal((sys60u.n_v, 3))
+        ref = sys60u.A @ x - sys60u.B @ (gain60.matrix() @ x)
+        got = ClosedLoopSystem(sys60u, gain60).apply(x)
+        assert la.norm(got - ref) <= 1e-14 * la.norm(ref)
+
     def test_euler_corrector_is_the_euler_solver(self, sys60u, cl60):
         rhs = np.random.default_rng(6).standard_normal((sys60u.n_v, 2))
         x = cl60.euler_corrector(0.1)(rhs)

@@ -7,7 +7,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from ekstab import kernels, oracle, reduction
-from ekstab.arnoldi import ADJOINT, FORWARD, as_pair, ekba_basis
+from ekstab.arnoldi import ADJOINT, FORWARD, OperatorPair, as_pair, ekba_basis
 from ekstab.closedloop import ClosedLoopSystem, reduce_closed_loop
 from ekstab.errors import DimensionMismatch, ModeMismatch, SingularShift
 from ekstab.reduction import (
@@ -21,7 +21,7 @@ from ekstab.reduction import (
     write_sweep_csv,
 )
 from ekstab.riccati import FeedbackGain
-from ekstab.sysmodel import DescriptorSystem
+from ekstab.sysmodel import DescriptorSystem, SyntheticSpec, generate_synthetic
 
 
 def _exactness_order(sys_):
@@ -144,6 +144,20 @@ def swept(request, sys60):
     return sys60, build_reduced(ekba_basis(sys60, 3, FORWARD), STATE_SPACE)
 
 
+@pytest.fixture(scope="module", params=[2, 3], ids=["n_c_is_n_b", "n_c_is_not_n_b"])
+def adjoint_pair(request):
+    """An adjoint pair and a one-state model of the forward system's shape.
+
+    With n_c == n_b its C S C^T has the shape of a forward response, so
+    only the direction check tells the two apart.
+    """
+    sys_ = generate_synthetic(SyntheticSpec(60, 8, n_b=2, n_c=request.param, seed=7))
+    model = ReducedModel(
+        a=-np.eye(1), b=np.ones((1, sys_.n_b)), c=np.ones((sys_.n_c, 1))
+    )
+    return OperatorPair(sys_, adjoint=True), model
+
+
 class TestBuildReduced:
     def test_generalized_mass_symmetric_spd(self, sys60):
         basis = ekba_basis(sys60, 4, FORWARD)
@@ -212,6 +226,12 @@ class TestEvalFullTF:
         # s = -1 is the single eigenvalue of the unconstrained SISO system.
         with pytest.raises(SingularShift):
             eval_full_tf(siso, -1.0 + 0j)
+
+    def test_adjoint_pair_rejected_before_factoring(self, adjoint_pair, kinds):
+        pair, _ = adjoint_pair
+        with pytest.raises(ModeMismatch):
+            eval_full_tf(pair, 1j)
+        assert kinds == []
 
     def test_closed_loop_solves_b_once(self, sys60, monkeypatch):
         # The SMW corrector's base solve of B is the only saddle solve: the
@@ -463,6 +483,12 @@ class TestFrequencySweep:
         for w, f in zip(sweep.full.omegas, sweep.full.values):
             ref = oracle.theta_transfer(tsys, 1j * w)
             assert la.norm(f - ref, 2) <= 1e-10 * la.norm(ref, 2)
+
+    def test_adjoint_pair_rejected_before_factoring(self, adjoint_pair, kinds):
+        pair, model = adjoint_pair
+        with pytest.raises(ModeMismatch):
+            frequency_sweep(pair, model, n_points=20)
+        assert kinds == []
 
     @pytest.mark.parametrize("n_points", [0, -1, 2.5, True])
     def test_bad_point_count_rejected_before_factoring(self, sys60, n_points, kinds):
